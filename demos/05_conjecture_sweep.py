@@ -5,7 +5,8 @@ without isolated-edge components. The sweep solves every connected graph
 up to the requested order and reports any violation (none are known) plus
 all graphs that attain the bound exactly.
 
-Order 8 takes a couple of minutes; pass a smaller bound for a quick look.
+Order 8 takes about 15 s, most of it building the order-8 catalog; pass a
+smaller bound for a quick look.
 """
 
 import sys

@@ -13,40 +13,15 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .errors import IsolationGameError
 from .families import iter_family, vertex_name_to_index
 from .graph import parse_graph6
-from .harness import CheckKind, CheckReport, conjecture_sweep, run_check
+from .harness import CHECKS, CheckKind, CheckReport, conjecture_sweep, run_check
 from .rules import parse_forbidden
 from .solver import DEFAULT_MEMO_CAP, Mover, result_record, solve
 
 MEMO_CAP_ENV = "ISOGAME_MEMO_CAP"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    graph6: str | None = None
-    graph6_file: str | None = None
-    family: str | None = None
-    forbidden: str = "K2"
-    start: str = "D"
-    marks: tuple[str, ...] = ()
-    check: str | None = None
-    n: int | None = None
-    n_min: int | None = None
-    n_max: int | None = None
-    seed: int = 0
-    trials: int | None = None
-    jobs: int = 1
-    memo_cap: int | None = None
-    fmt: str = "plain"
-    output: str | None = None
-    reproducible: bool = False
-    prune: bool = False
-    spec: str | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,13 +42,11 @@ def _build_parser() -> _Parser:
     src.add_argument("--graph6-file", help="file with one graph6 record per line")
     src.add_argument("--family", help="family spec, e.g. cycle:6 or gstar:complete:2")
     p_solve.add_argument("--forbidden", default="K2",
-                         help="K1, K2, or custom:<order>:<edges>[;...]")
+                         help="K1, K2, P3, or custom:<order>:<edges>[;...]")
     p_solve.add_argument("--start", choices=("D", "S"), default="D")
     p_solve.add_argument("--marks", default="",
                          help="comma-separated pre-marked vertices (v4 or 3)")
     p_solve.add_argument("--memo-cap", type=int, default=None)
-    p_solve.add_argument("--prune", action="store_true",
-                         help="enable branch-and-bound (never changes values)")
     p_solve.add_argument("--format", dest="fmt",
                          choices=("plain", "json", "csv"), default="plain")
     p_solve.add_argument("--output", default=None)
@@ -83,9 +56,9 @@ def _build_parser() -> _Parser:
                           choices=[k.value for k in CheckKind])
     p_verify.add_argument("--n-min", type=int, default=None)
     p_verify.add_argument("--n-max", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--trials", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=int, default=None)
     p_verify.add_argument("--format", dest="fmt",
                           choices=("plain", "json", "csv"), default="plain")
     p_verify.add_argument("--output", default=None)
@@ -94,7 +67,6 @@ def _build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="conjecture sweep up to an order")
     p_sweep.add_argument("--n-max", type=int, required=True)
-    p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--format", dest="fmt",
                          choices=("plain", "json", "csv"), default="plain")
@@ -110,32 +82,6 @@ def _build_parser() -> _Parser:
     p_enum.add_argument("--output", default=None)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    marks = tuple(t for t in (args.marks.split(",") if getattr(args, "marks", "") else []) if t)
-    return RunConfig(
-        command=args.command,
-        graph6=getattr(args, "graph6", None),
-        graph6_file=getattr(args, "graph6_file", None),
-        family=getattr(args, "family", None),
-        forbidden=getattr(args, "forbidden", "K2"),
-        start=getattr(args, "start", "D"),
-        marks=marks,
-        check=getattr(args, "check", None),
-        n=getattr(args, "n", None),
-        n_min=getattr(args, "n_min", None),
-        n_max=getattr(args, "n_max", None),
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", None),
-        jobs=getattr(args, "jobs", 1),
-        memo_cap=getattr(args, "memo_cap", None),
-        fmt=getattr(args, "fmt", "plain"),
-        output=getattr(args, "output", None),
-        reproducible=getattr(args, "reproducible", False),
-        prune=getattr(args, "prune", False),
-        spec=getattr(args, "spec", None),
-    )
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -165,39 +111,39 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _resolve_memo_cap(config: RunConfig) -> int:
-    if config.memo_cap is not None:
-        return config.memo_cap
+def _resolve_memo_cap(args: argparse.Namespace) -> int:
+    if args.memo_cap is not None:
+        return args.memo_cap
     env = os.environ.get(MEMO_CAP_ENV)
     if env:
         return int(env)
     return DEFAULT_MEMO_CAP
 
 
-def _run_solve(config: RunConfig) -> int:
-    fam = parse_forbidden(config.forbidden)
-    if config.graph6 is not None:
-        graphs = [parse_graph6(config.graph6)]
-    elif config.graph6_file is not None:
-        with open(config.graph6_file) as fh:
+def _run_solve(args: argparse.Namespace) -> int:
+    fam = parse_forbidden(args.forbidden)
+    if args.graph6 is not None:
+        graphs = [parse_graph6(args.graph6)]
+    elif args.graph6_file is not None:
+        with open(args.graph6_file) as fh:
             graphs = [parse_graph6(line) for line in fh if line.strip()]
     else:
-        graphs = list(iter_family(config.family))
-    marks = [vertex_name_to_index(t) for t in config.marks]
-    start = Mover.DOMINATOR if config.start == "D" else Mover.STALLER
-    cap = _resolve_memo_cap(config)
+        graphs = list(iter_family(args.family))
+    marks = [vertex_name_to_index(t) for t in args.marks.split(",") if t]
+    start = Mover.DOMINATOR if args.start == "D" else Mover.STALLER
+    cap = _resolve_memo_cap(args)
 
     records = []
     for g in graphs:
         bad = [v for v in marks if not 0 <= v < g.n]
         if bad:
             raise IsolationGameError(f"marks {bad} out of range for order {g.n}")
-        result = solve(g, fam, start, marks, memo_cap=cap, prune=config.prune)
+        result = solve(g, fam, start, marks, memo_cap=cap)
         records.append(result_record(g, fam, start, marks, result))
 
-    if config.fmt == "plain":
+    if args.fmt == "plain":
         text = "".join(f"value={r['value']}\n" for r in records)
-    elif config.fmt == "json":
+    elif args.fmt == "json":
         payload = records[0] if len(records) == 1 else records
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
@@ -205,65 +151,62 @@ def _run_solve(config: RunConfig) -> int:
             [{**r, "principal_line": tuple(r["principal_line"]),
               "initial_marks": tuple(r["initial_marks"])} for r in records]
         )
-    _emit(text, config.output)
+    _emit(text, args.output)
     return 0
 
 
-def _emit_report(report: CheckReport, config: RunConfig) -> int:
-    if config.fmt == "csv":
+def _emit_report(report: CheckReport, args: argparse.Namespace) -> int:
+    if args.fmt == "csv":
         text = _rows_to_csv(report.rows)
-    elif config.fmt == "json":
-        text = report.to_json(config.reproducible) + "\n"
+    elif args.fmt == "json":
+        text = report.to_json(args.reproducible) + "\n"
     else:
         text = (
             f"check={report.kind.value} instances={report.instances} "
             f"violations={len(report.violations)} ok={report.ok}\n"
         )
-    _emit(text, config.output)
+    _emit(text, args.output)
     return 0 if report.ok else 2
 
 
-def _run_verify(config: RunConfig) -> int:
-    params: dict = {"seed": config.seed, "jobs": config.jobs}
-    if config.n_min is not None:
-        params["n_min"] = config.n_min
-    if config.n_max is not None:
-        params["n_max"] = config.n_max
-    if config.trials is not None:
-        kind = CheckKind(config.check)
-        if kind is CheckKind.CONTINUATION_PRINCIPLE:
-            params["trials_per_order"] = config.trials
-        elif kind is CheckKind.FOREST_MONOTONE:
-            params["forests_per_order"] = config.trials
-        elif kind is CheckKind.STAR_ADDITION:
-            params["per_order"] = config.trials
-    report = run_check(config.check, **params)
-    return _emit_report(report, config)
+def _run_verify(args: argparse.Namespace) -> int:
+    # forward only the flags given; --trials sets the check's trials param,
+    # or the bare name "trials" when it has none, which run_check rejects
+    kind = CheckKind(args.check)
+    given = {
+        "n_min": args.n_min,
+        "n_max": args.n_max,
+        "seed": args.seed,
+        "jobs": args.jobs,
+        CHECKS[kind].trials or "trials": args.trials,
+    }
+    report = run_check(kind, **{k: v for k, v in given.items() if v is not None})
+    return _emit_report(report, args)
 
 
-def _run_sweep(config: RunConfig) -> int:
-    report = conjecture_sweep(config.n_max, seed=config.seed, jobs=config.jobs)
-    return _emit_report(report, config)
+def _run_sweep(args: argparse.Namespace) -> int:
+    report = conjecture_sweep(args.n_max, jobs=args.jobs)
+    return _emit_report(report, args)
 
 
-def _run_family(config: RunConfig) -> int:
+def _run_family(args: argparse.Namespace) -> int:
     from .graph import encode_graph6
 
-    lines = [encode_graph6(g) for g in iter_family(config.spec)]
-    _emit("".join(line + "\n" for line in lines), config.output)
+    lines = [encode_graph6(g) for g in iter_family(args.spec)]
+    _emit("".join(line + "\n" for line in lines), args.output)
     return 0
 
 
-def _run_enumerate(config: RunConfig) -> int:
+def _run_enumerate(args: argparse.Namespace) -> int:
     from .enumeration import enumerate_connected
     from .graph import encode_graph6
 
-    lines = [encode_graph6(g) for g in enumerate_connected(config.n)]
-    _emit("".join(line + "\n" for line in lines), config.output)
+    lines = [encode_graph6(g) for g in enumerate_connected(args.n)]
+    _emit("".join(line + "\n" for line in lines), args.output)
     return 0
 
 
-def execute(config: RunConfig) -> int:
+def execute(args: argparse.Namespace) -> int:
     """Dispatch one parsed command; returns the process exit status."""
     runners = {
         "solve": _run_solve,
@@ -272,14 +215,14 @@ def execute(config: RunConfig) -> int:
         "family": _run_family,
         "enumerate": _run_enumerate,
     }
-    return runners[config.command](config)
+    return runners[args.command](args)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return execute(_config_from_args(args))
+        return execute(args)
     except SystemExit as exc:  # argparse --help or usage error
         return int(exc.code or 0)
     except IsolationGameError as exc:

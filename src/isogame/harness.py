@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .enumeration import all_trees, canonical_form, enumerate_connected, tree_classes
-from .errors import BudgetExceeded
+from .errors import BadSpec, BudgetExceeded
 from .families import (
     f_triangles,
     g_h,
@@ -42,12 +42,21 @@ from .families import (
     path_graph,
     star_graph,
 )
-from .graph import Graph, disjoint_union, encode_graph6, mask_list, mask_of, parse_graph6
+from .graph import (
+    Graph,
+    build_graph,
+    disjoint_union,
+    encode_graph6,
+    mask_list,
+    mask_of,
+    parse_graph6,
+)
 from .oracle import isolation_number
 from .rules import (
     ForbiddenFamily,
     close_marks,
     initial_closure,
+    parse_forbidden,
     single_edge_family,
     single_vertex_family,
     three_path_family,
@@ -105,15 +114,6 @@ class CheckReport:
         return json.dumps(self.summary(reproducible), indent=2, sort_keys=True)
 
 
-def _named_families(names: Sequence[str]) -> list[ForbiddenFamily]:
-    table = {
-        "K1": single_vertex_family,
-        "K2": single_edge_family,
-        "P3": three_path_family,
-    }
-    return [table[name]() for name in names]
-
-
 def _connected_range(n_min: int, n_max: int) -> Iterable[tuple[int, Graph]]:
     for n in range(n_min, n_max + 1):
         for g in enumerate_connected(n):
@@ -133,9 +133,9 @@ def ceil_three_sevenths(n: int) -> int:
 # --- individual checks ---------------------------------------------------
 
 
-def _check_diff_at_most_one(n_min: int, n_max: int, fam_names: Sequence[str]) -> tuple:
+def _check_diff_at_most_one(n_min: int, n_max: int, fams: Sequence[str]) -> tuple:
     rows, violations, extremal = [], [], []
-    for fam in _named_families(fam_names):
+    for fam in map(parse_forbidden, fams):
         for n, g in _connected_range(n_min, n_max):
             d, s = solve_both(g, fam)
             row = {
@@ -156,10 +156,10 @@ def _check_diff_at_most_one(n_min: int, n_max: int, fam_names: Sequence[str]) ->
     return rows, violations, extremal, {}
 
 
-def _check_sandwich(n_min: int, n_max: int, fam_names: Sequence[str]) -> tuple:
+def _check_sandwich(n_min: int, n_max: int, fams: Sequence[str]) -> tuple:
     rows, violations, extremal = [], [], []
     tight = 0
-    for fam in _named_families(fam_names):
+    for fam in map(parse_forbidden, fams):
         for n, g in _connected_range(n_min, n_max):
             iota = isolation_number(g, fam).size
             d, s = solve_both(g, fam)
@@ -275,15 +275,7 @@ def _random_forest(n: int, rng: random.Random) -> Graph:
     for v in range(1, n):
         if rng.random() < 0.75:
             edges.append((rng.randrange(v), v))
-    return Graph(n, _adj_from_edges(n, edges))
-
-
-def _adj_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return tuple(adj)
+    return build_graph(n, edges)
 
 
 def _random_closed_marks(g: Graph, fam: ForbiddenFamily, rng: random.Random) -> int:
@@ -335,7 +327,7 @@ def _check_continuation(
     orders: Sequence[int], trials_per_order: int, seed: int
 ) -> tuple:
     rows, violations, extremal = [], [], []
-    fams = _named_families(["K1", "K2", "P3"])
+    fams = [single_vertex_family(), single_edge_family(), three_path_family()]
     rng = random.Random(seed)
     for n in orders:
         pool = list(enumerate_connected(n))
@@ -479,8 +471,8 @@ def _check_family_values() -> tuple:
             violations.append({**row, "observed": (d, s)})
     meta = {
         "gh_base": "path",
-        "gh_unverified": "linked-gadget chains with 2+ copies (>= 24 vertices) "
-        "exceed the full-search budget; only the single copy is solved",
+        "gh_unverified": "the paper states no value for linked-gadget chains "
+        "with 2+ copies (>= 24 vertices), so only the single copy is checked",
     }
     return rows, violations, extremal, meta
 
@@ -492,14 +484,11 @@ def _sweep_solve(args: tuple[str, int]) -> tuple[str, int, int, int]:
     return text, n, d.value, s.value
 
 
-def conjecture_sweep(n_max: int, seed: int = 0, jobs: int = 1) -> CheckReport:
-    """Sweep D- and S-start values against ceil(3n/7) over every connected
-    graph of order 3..n_max. This reports findings (violations would be
-    counterexamples); it proves nothing beyond the orders it visits.
-    """
+def _check_conjecture_sweep(n_max: int, jobs: int) -> tuple:
     if n_max > 8:
         raise BudgetExceeded(f"conjecture sweep capped at order 8, got {n_max}")
-    t0 = time.perf_counter()
+    if jobs < 1:
+        raise BadSpec(f"jobs must be at least 1, got {jobs}")
     work: list[tuple[str, int]] = []
     for n in range(3, n_max + 1):
         for g in enumerate_connected(n):
@@ -535,17 +524,9 @@ def conjecture_sweep(n_max: int, seed: int = 0, jobs: int = 1) -> CheckReport:
             best_row = row
     extremal = [{"max_ratio": best_ratio, "witness": best_row,
                  "equality_witnesses": witnesses}]
-    return CheckReport(
-        kind=CheckKind.CONJECTURE_SWEEP,
-        instances=len(rows),
-        violations=violations,
-        extremal=extremal,
-        wall_time_s=time.perf_counter() - t0,
-        params={"n_max": n_max, "seed": seed, "jobs": jobs},
-        rows=rows,
-        metadata={"skipped_orders": [1, 2],
-                  "skip_reason": "bound hypothesis excludes trivial orders"},
-    )
+    meta = {"skipped_orders": [1, 2],
+            "skip_reason": "bound hypothesis excludes trivial orders"}
+    return rows, violations, extremal, meta
 
 
 def path_table(n_min: int = 6, n_max: int = 23) -> list[dict]:
@@ -574,75 +555,79 @@ def path_table(n_min: int = 6, n_max: int = 23) -> list[dict]:
     return rows
 
 
-_CHECK_RUNNERS: dict[CheckKind, Callable[..., tuple]] = {}
+@dataclass(frozen=True)
+class CheckSpec:
+    """One registered check: the runner, every param it takes with its
+    default, and the param that the CLI's ``--trials`` sets (if any)."""
+
+    runner: Callable[..., tuple]
+    defaults: dict
+    trials: str | None = None
+
+
+_ORDERS = {"n_min": 1, "n_max": 6}
+_PATH_ORDERS = {"n_min": 6, "n_max": 23}
+
+CHECKS: dict[CheckKind, CheckSpec] = {
+    CheckKind.DIFF_AT_MOST_ONE: CheckSpec(
+        _check_diff_at_most_one, {**_ORDERS, "fams": ("K1", "K2")}
+    ),
+    CheckKind.CONTINUATION_PRINCIPLE: CheckSpec(
+        _check_continuation,
+        {"orders": (4, 5, 6, 7), "trials_per_order": 200, "seed": 0},
+        trials="trials_per_order",
+    ),
+    CheckKind.SANDWICH: CheckSpec(_check_sandwich, {**_ORDERS, "fams": ("K1", "K2")}),
+    CheckKind.FAMILY_MONOTONE: CheckSpec(_check_family_monotone, _ORDERS),
+    CheckKind.HALF_BOUND: CheckSpec(_check_half_bound, _ORDERS),
+    CheckKind.SPANNING_GAP: CheckSpec(_check_spanning_gap, {"ns": (3, 4)}),
+    CheckKind.FOREST_MONOTONE: CheckSpec(
+        _check_forest_monotone,
+        {
+            "tree_n_max": 9,
+            "pruefer_n_max": 6,
+            "forest_orders": (6, 7, 8, 9),
+            "forests_per_order": 100,
+            "seed": 0,
+        },
+        trials="forests_per_order",
+    ),
+    CheckKind.PATH_BOUNDS: CheckSpec(_check_path_bounds, _PATH_ORDERS),
+    CheckKind.PATH_EXACT: CheckSpec(_check_path_exact, _PATH_ORDERS),
+    CheckKind.STAR_ADDITION: CheckSpec(
+        _check_star_addition,
+        {"orders": (4, 5, 6, 7, 8), "per_order": 25, "star_sizes": (1, 2, 3), "seed": 0},
+        trials="per_order",
+    ),
+    CheckKind.FAMILY_VALUES: CheckSpec(_check_family_values, {}),
+    CheckKind.CONJECTURE_SWEEP: CheckSpec(
+        _check_conjecture_sweep, {"n_max": 6, "jobs": 1}
+    ),
+}
 
 
 def run_check(kind: CheckKind | str, **params) -> CheckReport:
-    """Run one named check and wrap its findings in a CheckReport.
+    """Run one registered check and wrap its findings in a CheckReport.
 
-    Accepted params vary by kind: ``n_min``/``n_max`` for enumeration
-    sweeps, ``seed``/``trials`` for randomized ones, ``fams`` to restrict
-    the family list, ``jobs`` for the conjecture sweep.
+    ``params`` override the defaults in ``CHECKS[kind]``, and the report
+    echoes the merged set. A param the check does not take, or a param set
+    that leaves no instance to check, raises BadSpec.
     """
     kind = CheckKind(kind)
-    t0 = time.perf_counter()
-    if kind is CheckKind.CONJECTURE_SWEEP:
-        return conjecture_sweep(
-            params.get("n_max", 6), params.get("seed", 0), params.get("jobs", 1)
+    spec = CHECKS[kind]
+    unknown = [key for key in params if key not in spec.defaults]
+    if unknown:
+        accepted = ", ".join(spec.defaults) or "no params"
+        raise BadSpec(
+            f"check {kind.value} does not accept {', '.join(unknown)}; "
+            f"it accepts {accepted}"
         )
-    if kind is CheckKind.DIFF_AT_MOST_ONE:
-        used = {"n_min": params.get("n_min", 1), "n_max": params.get("n_max", 6),
-                "fams": tuple(params.get("fams", ("K1", "K2")))}
-        got = _check_diff_at_most_one(used["n_min"], used["n_max"], used["fams"])
-    elif kind is CheckKind.SANDWICH:
-        used = {"n_min": params.get("n_min", 1), "n_max": params.get("n_max", 6),
-                "fams": tuple(params.get("fams", ("K1", "K2")))}
-        got = _check_sandwich(used["n_min"], used["n_max"], used["fams"])
-    elif kind is CheckKind.FAMILY_MONOTONE:
-        used = {"n_min": params.get("n_min", 1), "n_max": params.get("n_max", 6)}
-        got = _check_family_monotone(used["n_min"], used["n_max"])
-    elif kind is CheckKind.HALF_BOUND:
-        used = {"n_min": params.get("n_min", 1), "n_max": params.get("n_max", 6)}
-        got = _check_half_bound(used["n_min"], used["n_max"])
-    elif kind is CheckKind.SPANNING_GAP:
-        used = {"ns": tuple(params.get("ns", (3, 4)))}
-        got = _check_spanning_gap(used["ns"])
-    elif kind is CheckKind.FOREST_MONOTONE:
-        used = {
-            "tree_n_max": params.get("tree_n_max", 9),
-            "pruefer_n_max": params.get("pruefer_n_max", 6),
-            "forest_orders": tuple(params.get("forest_orders", (6, 7, 8, 9))),
-            "forests_per_order": params.get("forests_per_order", 100),
-            "seed": params.get("seed", 0),
-        }
-        got = _check_forest_monotone(**used)
-    elif kind is CheckKind.CONTINUATION_PRINCIPLE:
-        used = {
-            "orders": tuple(params.get("orders", (4, 5, 6, 7))),
-            "trials_per_order": params.get("trials_per_order", 200),
-            "seed": params.get("seed", 0),
-        }
-        got = _check_continuation(**used)
-    elif kind is CheckKind.PATH_BOUNDS:
-        used = {"n_min": params.get("n_min", 6), "n_max": params.get("n_max", 23)}
-        got = _check_path_bounds(used["n_min"], used["n_max"])
-    elif kind is CheckKind.PATH_EXACT:
-        used = {"n_min": params.get("n_min", 6), "n_max": params.get("n_max", 23)}
-        got = _check_path_exact(used["n_min"], used["n_max"])
-    elif kind is CheckKind.STAR_ADDITION:
-        used = {
-            "orders": tuple(params.get("orders", (4, 5, 6, 7, 8))),
-            "per_order": params.get("per_order", 25),
-            "star_sizes": tuple(params.get("star_sizes", (1, 2, 3))),
-            "seed": params.get("seed", 0),
-        }
-        got = _check_star_addition(**used)
-    elif kind is CheckKind.FAMILY_VALUES:
-        used = {}
-        got = _check_family_values()
-    else:  # pragma: no cover - the enum is exhausted above
-        raise ValueError(f"unhandled check kind {kind}")
-    rows, violations, extremal, metadata = got
+    used = {**spec.defaults, **params}
+    t0 = time.perf_counter()
+    rows, violations, extremal, metadata = spec.runner(**used)
+    if not rows:
+        shown = ", ".join(f"{key}={value}" for key, value in used.items())
+        raise BadSpec(f"check {kind.value} has no instances for {shown}")
     return CheckReport(
         kind=kind,
         instances=len(rows),
@@ -654,6 +639,13 @@ def run_check(kind: CheckKind | str, **params) -> CheckReport:
         metadata=metadata,
     )
 
+
+def conjecture_sweep(n_max: int, jobs: int = 1) -> CheckReport:
+    """Sweep D- and S-start values against ceil(3n/7) over every connected
+    graph of order 3..n_max. This reports findings (violations would be
+    counterexamples); it proves nothing beyond the orders it visits.
+    """
+    return run_check(CheckKind.CONJECTURE_SWEEP, n_max=n_max, jobs=jobs)
 
 def find_witness(rows: Iterable[dict], g: Graph) -> dict | None:
     """Locate the row whose graph is isomorphic to g (for witness asserts)."""

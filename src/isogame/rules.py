@@ -66,20 +66,27 @@ def three_path_family() -> ForbiddenFamily:
     return ForbiddenFamily((build_graph(3, [(0, 1), (1, 2)]),), "P3")
 
 
+_NAMED_FAMILIES = {
+    "K1": single_vertex_family,
+    "K2": single_edge_family,
+    "P3": three_path_family,
+}
+
+
 def parse_forbidden(text: str) -> ForbiddenFamily:
-    """Parse the CLI family spec: ``K1``, ``K2``, or one or more
+    """Parse the CLI family spec: ``K1``, ``K2``, ``P3``, or one or more
     ``custom:<order>:<edge list>`` patterns separated by ``;``."""
     text = text.strip()
-    if text.upper() == "K1":
-        return single_vertex_family()
-    if text.upper() == "K2":
-        return single_edge_family()
+    named = _NAMED_FAMILIES.get(text.upper())
+    if named is not None:
+        return named()
     patterns = []
     for chunk in text.split(";"):
         parts = chunk.strip().split(":")
         if parts[0].lower() != "custom" or len(parts) < 2:
             raise BadSpec(
-                f"unknown forbidden-family spec {chunk!r}; use K1, K2 or custom:n:edges"
+                f"unknown forbidden-family spec {chunk!r}; "
+                "use K1, K2, P3 or custom:n:edges"
             )
         try:
             n = int(parts[1])
@@ -228,12 +235,9 @@ def initial_closure(g: Graph, fam: ForbiddenFamily, a: int | Iterable[int]) -> M
     return MarkState(g, close_marks(g, fam, as_mask(a)))
 
 
-def playable(state: MarkState, fam: ForbiddenFamily | None = None) -> int:
+def playable(state: MarkState) -> int:
     """Mask of playable vertices: those with an unmarked closed neighbor.
-
-    The family is already baked into the closed marked set, so it is not
-    consulted again here; the parameter stays for contract symmetry.
-    """
+    The family is already baked into the closed marked set."""
     g = state.graph
     un = state.unmarked
     out = 0

@@ -105,18 +105,12 @@ def game_value(
     *,
     memo_cap: int = DEFAULT_MEMO_CAP,
     memo: dict | None = None,
-    prune: bool = False,
 ) -> GameResult:
     """Evaluate a closed state exactly.
 
     A shared ``memo`` may be passed in to amortize several starts on the
-    same graph and family; entries are write-once, so reuse is safe. With
-    ``prune`` the Dominator side skips successors that provably cannot beat
-    the best one seen (the value never changes, but the reported move may
-    tie-break differently).
+    same graph and family; entries are write-once, so reuse is safe.
     """
-    if prune:
-        return _pruned_game_value(g, fam, start, mover, memo_cap=memo_cap)
     if memo is None:
         memo = {}
     evaluate = _search(g, fam, memo, memo_cap)
@@ -159,13 +153,10 @@ def solve(
     *,
     memo_cap: int = DEFAULT_MEMO_CAP,
     memo: dict | None = None,
-    prune: bool = False,
 ) -> GameResult:
     """Close the initial marks, then evaluate the game from scratch."""
     state = initial_closure(g, fam, as_mask(initial_marks))
-    return game_value(
-        g, fam, state, start_player, memo_cap=memo_cap, memo=memo, prune=prune
-    )
+    return game_value(g, fam, state, start_player, memo_cap=memo_cap, memo=memo)
 
 
 def solve_both(
@@ -180,95 +171,6 @@ def solve_both(
     d = solve(g, fam, Mover.DOMINATOR, initial_marks, memo_cap=memo_cap, memo=memo)
     s = solve(g, fam, Mover.STALLER, initial_marks, memo_cap=memo_cap, memo=memo)
     return d, s
-
-
-# --- optional branch-and-bound path -------------------------------------
-
-
-def _completion_lower_bound(
-    g: Graph, fam: ForbiddenFamily, marked: int, cache: dict[int, int]
-) -> int:
-    """Admissible lower bound on the remaining moves: the fewest plays whose
-    joint closure finishes the game, probed for 0..2 plays and clamped at 3.
-    """
-    hit = cache.get(marked)
-    if hit is not None:
-        return hit
-    full = g.full_mask
-    if marked == full:
-        bound = 0
-    else:
-        bound = 3
-        singles = []
-        for x in range(g.n):
-            if not g.closed[x] & ~marked:
-                continue
-            child = close_marks(g, fam, marked | g.closed[x])
-            if child == full:
-                bound = 1
-                break
-            singles.append(child)
-        if bound == 3:
-            for i, child in enumerate(singles):
-                if any(
-                    close_marks(g, fam, child | other) == full
-                    for other in singles[i:]
-                ):
-                    bound = 2
-                    break
-    cache[marked] = bound
-    return bound
-
-
-def _pruned_game_value(
-    g: Graph,
-    fam: ForbiddenFamily,
-    start: MarkState,
-    mover: Mover,
-    *,
-    memo_cap: int = DEFAULT_MEMO_CAP,
-) -> GameResult:
-    memo: dict[tuple[int, bool], tuple[int, int | None]] = {}
-    bounds: dict[int, int] = {}
-    full = g.full_mask
-
-    def value_of(marked: int, dom_to_move: bool) -> tuple[int, int | None]:
-        key = (marked, dom_to_move)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if marked == full:
-            result = (0, None)
-        else:
-            best = -1
-            best_move = -1
-            unmarked = full & ~marked
-            for x in range(g.n):
-                if not g.closed[x] & unmarked:
-                    continue
-                child = close_marks(g, fam, marked | g.closed[x])
-                if (
-                    dom_to_move
-                    and best_move >= 0
-                    and _completion_lower_bound(g, fam, child, bounds) >= best
-                ):
-                    continue  # cannot beat the current minimum
-                v = value_of(child, not dom_to_move)[0]
-                if best_move < 0 or (v < best if dom_to_move else v > best):
-                    best = v
-                    best_move = x
-            result = (1 + best, best_move)
-        if len(memo) >= memo_cap:
-            raise StateSpaceBudgetExceeded(
-                f"transposition table exceeded {memo_cap} entries"
-            )
-        memo[key] = result
-        return result
-
-    dom = mover is Mover.DOMINATOR
-    value, move = value_of(start.marked, dom)
-    # every best_move's child was evaluated, so the table walks to a full line
-    return GameResult(value, move, _principal_line(g, fam, start.marked, mover, memo))
 
 
 def result_record(

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 import isogame.harness as harness
 from isogame import GameResult, encode_graph6, path_graph
 from isogame.cli import main
@@ -201,13 +203,34 @@ def test_output_file_and_memo_cap_env(tmp_path, monkeypatch, capsys):
     assert out == "value=3\n"
 
 
-def test_solve_prune_flag_matches_plain(capsys):
-    code_a, out_a, _ = run_cli(capsys, "solve", "--family", "path:13", "--start", "S")
-    code_b, out_b, _ = run_cli(
-        capsys, "solve", "--family", "path:13", "--start", "S", "--prune"
-    )
-    assert code_a == code_b == 0
-    assert out_a == out_b == "value=5\n"
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        # a flag the chosen check does not take
+        ("--trials", ["verify", "--check", "sandwich", "--trials", "5"]),
+        ("--n-min", ["verify", "--check", "forest-monotone", "--n-min", "3"]),
+        ("--n-max", ["verify", "--check", "family-values", "--n-max", "3", "--jobs", "4"]),
+        ("--jobs", ["verify", "--check", "family-values", "--n-max", "3", "--jobs", "4"]),
+        ("--n-max", ["verify", "--check", "spanning-gap", "--n-max", "9"]),
+        # an empty instance set
+        ("--n-max", ["sweep", "--n-max", "2"]),
+        ("--n-min", ["verify", "--check", "half-bound", "--n-min", "5", "--n-max", "4"]),
+        # a worker count below one (rejected before any pool starts)
+        ("--jobs", ["sweep", "--n-max", "3", "--jobs", "-1"]),
+        ("--jobs", ["verify", "--check", "conjecture-sweep", "--n-max", "3", "--jobs", "-1"]),
+    ],
+    ids=[
+        "sandwich-trials", "forest-monotone-n-min", "family-values-n-max",
+        "family-values-jobs", "spanning-gap-n-max", "sweep-empty",
+        "half-bound-empty", "sweep-jobs", "conjecture-sweep-jobs",
+    ],
+)
+def test_unusable_flags_fail_loudly(capsys, flag, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    # the error names the flag by the param it sets
+    assert flag[2:].replace("-", "_") in err
 
 
 def test_help_exits_zero(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 import isogame.harness as harness
 from isogame import (
+    BadSpec,
     BudgetExceeded,
     CheckKind,
     GameResult,
@@ -12,7 +13,48 @@ from isogame import (
     path_graph,
     run_check,
 )
-from isogame.harness import ceil_three_sevenths, find_witness
+from isogame.harness import CHECKS, ceil_three_sevenths, find_witness
+
+# small overrides per kind, so every registered runner executes quickly
+SMALL_PARAMS = {
+    CheckKind.DIFF_AT_MOST_ONE: {"n_max": 3},
+    CheckKind.CONTINUATION_PRINCIPLE: {"orders": (4,), "trials_per_order": 3},
+    CheckKind.SANDWICH: {"n_max": 3, "fams": ("P3",)},
+    CheckKind.FAMILY_MONOTONE: {"n_max": 3},
+    CheckKind.HALF_BOUND: {"n_min": 2, "n_max": 3},
+    CheckKind.SPANNING_GAP: {"ns": (3,)},
+    CheckKind.FOREST_MONOTONE: {
+        "tree_n_max": 5, "pruefer_n_max": 4, "forest_orders": (5,), "forests_per_order": 2,
+    },
+    CheckKind.PATH_BOUNDS: {"n_max": 8},
+    CheckKind.PATH_EXACT: {"n_min": 7, "n_max": 8},
+    CheckKind.STAR_ADDITION: {"orders": (4,), "per_order": 2, "star_sizes": (1,)},
+    CheckKind.FAMILY_VALUES: {},
+    CheckKind.CONJECTURE_SWEEP: {"n_max": 4},
+}
+
+
+def test_every_check_kind_is_registered():
+    assert set(CHECKS) == set(CheckKind) == set(SMALL_PARAMS)
+    for spec in CHECKS.values():
+        assert spec.trials is None or spec.trials in spec.defaults
+
+
+@pytest.mark.parametrize("kind", list(CheckKind), ids=lambda k: k.value)
+def test_run_check_echoes_merged_params(kind):
+    params = SMALL_PARAMS[kind]
+    report = run_check(kind, **params)
+    assert report.ok
+    assert report.params == {**CHECKS[kind].defaults, **params}
+
+
+def test_run_check_rejects_unknown_params_and_empty_sets():
+    with pytest.raises(BadSpec, match="trials"):
+        run_check(CheckKind.FAMILY_VALUES, trials=1)
+    with pytest.raises(BadSpec, match="no instances"):
+        run_check(CheckKind.SPANNING_GAP, ns=())
+    with pytest.raises(BadSpec, match="jobs"):
+        conjecture_sweep(3, jobs=0)
 
 
 def test_diff_at_most_one_small():

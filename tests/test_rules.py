@@ -248,6 +248,7 @@ def test_fast_absorption_paths_match_generic_search():
 def test_parse_forbidden_specs():
     assert parse_forbidden("K1").tag == "K1"
     assert parse_forbidden("k2").patterns[0].num_edges == 1
+    assert parse_forbidden("P3") == three_path_family()
     fam = parse_forbidden("custom:3:0-1,1-2;custom:2:0-1")
     assert len(fam.patterns) == 2
     assert fam.patterns[0].n == 3

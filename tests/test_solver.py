@@ -210,26 +210,6 @@ def test_memo_cap_is_enforced():
         solve(path_graph(10), K2, Mover.DOMINATOR, memo_cap=8)
 
 
-def test_prune_never_changes_values():
-    for n in range(1, 6):
-        for g in enumerate_connected(n):
-            for fam in ALL_FAMS:
-                for mover in (Mover.DOMINATOR, Mover.STALLER):
-                    plain = solve(g, fam, mover)
-                    pruned = solve(g, fam, mover, prune=True)
-                    assert plain.value == pruned.value
-                    assert len(pruned.principal_line) == pruned.value
-
-
-def test_prune_line_is_still_optimal_play():
-    g = path_graph(9)
-    pruned = solve(g, K2, Mover.STALLER, prune=True)
-    state = initial_closure(g, K2, 0)
-    for x in pruned.principal_line:
-        state = apply_move(state, K2, x)
-    assert state.is_terminal
-
-
 def test_result_record_schema():
     g = cycle_graph(6)
     result = solve(g, K2, Mover.DOMINATOR, [1])
