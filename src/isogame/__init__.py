@@ -71,7 +71,6 @@ from .solver import (
     DEFAULT_MEMO_CAP,
     GameResult,
     Mover,
-    game_value,
     optimal_moves,
     result_record,
     solve,

@@ -11,17 +11,14 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
-from .errors import IsolationGameError
+from .errors import BadSpec, IsolationGameError
 from .families import iter_family, vertex_name_to_index
 from .graph import parse_graph6
 from .harness import CHECKS, CheckKind, CheckReport, conjecture_sweep, run_check
 from .rules import parse_forbidden
 from .solver import DEFAULT_MEMO_CAP, Mover, result_record, solve
-
-MEMO_CAP_ENV = "ISOGAME_MEMO_CAP"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,7 +43,7 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--start", choices=("D", "S"), default="D")
     p_solve.add_argument("--marks", default="",
                          help="comma-separated pre-marked vertices (v4 or 3)")
-    p_solve.add_argument("--memo-cap", type=int, default=None)
+    p_solve.add_argument("--memo-cap", type=int, default=DEFAULT_MEMO_CAP)
     p_solve.add_argument("--format", dest="fmt",
                          choices=("plain", "json", "csv"), default="plain")
     p_solve.add_argument("--output", default=None)
@@ -111,15 +108,6 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _resolve_memo_cap(args: argparse.Namespace) -> int:
-    if args.memo_cap is not None:
-        return args.memo_cap
-    env = os.environ.get(MEMO_CAP_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_MEMO_CAP
-
-
 def _run_solve(args: argparse.Namespace) -> int:
     fam = parse_forbidden(args.forbidden)
     if args.graph6 is not None:
@@ -127,18 +115,19 @@ def _run_solve(args: argparse.Namespace) -> int:
     elif args.graph6_file is not None:
         with open(args.graph6_file) as fh:
             graphs = [parse_graph6(line) for line in fh if line.strip()]
+        if not graphs:
+            raise BadSpec(f"no graph6 records in graph6_file {args.graph6_file!r}")
     else:
         graphs = list(iter_family(args.family))
     marks = [vertex_name_to_index(t) for t in args.marks.split(",") if t]
     start = Mover.DOMINATOR if args.start == "D" else Mover.STALLER
-    cap = _resolve_memo_cap(args)
 
     records = []
     for g in graphs:
         bad = [v for v in marks if not 0 <= v < g.n]
         if bad:
             raise IsolationGameError(f"marks {bad} out of range for order {g.n}")
-        result = solve(g, fam, start, marks, memo_cap=cap)
+        result = solve(g, fam, start, marks, memo_cap=args.memo_cap)
         records.append(result_record(g, fam, start, marks, result))
 
     if args.fmt == "plain":

@@ -218,6 +218,9 @@ def iter_family(spec: FamilySpec | str) -> Iterator[Graph]:
     if isinstance(spec, str):
         spec = parse_family_spec(spec)
     if spec.tag == "alltrees":
-        yield from all_trees(_int_arg(spec, 0, "order"))
+        n = _int_arg(spec, 0, "order")
+        if n < 1:
+            raise BadSpec(f"family alltrees order must be positive, got {n}")
+        yield from all_trees(n)
     else:
         yield make_family(spec)

@@ -295,8 +295,7 @@ def _check_forest_monotone(
     rng = random.Random(seed)
 
     def check_state(g: Graph, marks: int, source: str) -> None:
-        d = solve(g, fam, Mover.DOMINATOR, marks)
-        s = solve(g, fam, Mover.STALLER, marks)
+        d, s = solve_both(g, fam, marks)
         row = {
             "graph6": encode_graph6(g),
             "n": g.n,
@@ -344,10 +343,8 @@ def _check_continuation(
             a = close_marks(g, fam, marked | extras)
             b_sub = mask_of(v for v in mask_list(a) if rng.random() < 0.5)
             b = close_marks(g, fam, b_sub)
-            ad = solve(g, fam, Mover.DOMINATOR, a).value
-            bd = solve(g, fam, Mover.DOMINATOR, b).value
-            a_s = solve(g, fam, Mover.STALLER, a).value
-            b_s = solve(g, fam, Mover.STALLER, b).value
+            ad, a_s = (res.value for res in solve_both(g, fam, a))
+            bd, b_s = (res.value for res in solve_both(g, fam, b))
             row = {
                 "graph6": encode_graph6(g),
                 "n": n,
@@ -417,15 +414,13 @@ def _check_star_addition(
             instances.append((g, _random_closed_marks(g, fam, rng)))
 
     for g, marks in instances:
-        base_d = solve(g, fam, Mover.DOMINATOR, marks).value
-        base_s = solve(g, fam, Mover.STALLER, marks).value
+        base_d, base_s = (res.value for res in solve_both(g, fam, marks))
         if base_d > value_cap:
             skipped += 1
             continue
         for r in star_sizes:
             u = disjoint_union(g, star_graph(r))
-            ud = solve(u, fam, Mover.DOMINATOR, marks).value
-            us = solve(u, fam, Mover.STALLER, marks).value
+            ud, us = (res.value for res in solve_both(u, fam, marks))
             row = {
                 "graph6": encode_graph6(g),
                 "n": g.n,
@@ -454,8 +449,7 @@ def _check_family_values() -> tuple:
         ("gh:1", g_h(1), 0, 5),
     ]
     for name, g, marks, want in cases:
-        d = solve(g, fam, Mover.DOMINATOR, marks).value
-        s = solve(g, fam, Mover.STALLER, marks).value
+        d, s = (res.value for res in solve_both(g, fam, marks))
         row = {
             "graph6": encode_graph6(g),
             "n": g.n,

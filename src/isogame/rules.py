@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import BadSpec, IllegalMove, PatternTooLarge
+from .families import make_family
 from .graph import Graph, as_mask, build_graph, components, iter_mask, mask_list
 
 MAX_PATTERN_ORDER = 6
@@ -82,25 +83,12 @@ def parse_forbidden(text: str) -> ForbiddenFamily:
         return named()
     patterns = []
     for chunk in text.split(";"):
-        parts = chunk.strip().split(":")
-        if parts[0].lower() != "custom" or len(parts) < 2:
+        if chunk.strip().split(":")[0].lower() != "custom":
             raise BadSpec(
                 f"unknown forbidden-family spec {chunk!r}; "
                 "use K1, K2, P3 or custom:n:edges"
             )
-        try:
-            n = int(parts[1])
-        except ValueError:
-            raise BadSpec(f"bad pattern order in {chunk!r}") from None
-        edges = []
-        if len(parts) > 2 and parts[2]:
-            for token in parts[2].split(","):
-                u, _, v = token.partition("-")
-                try:
-                    edges.append((int(u), int(v)))
-                except ValueError:
-                    raise BadSpec(f"bad edge token {token!r}") from None
-        patterns.append(build_graph(n, edges))
+        patterns.append(make_family(chunk))
     return ForbiddenFamily(tuple(patterns), text)
 
 

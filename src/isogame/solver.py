@@ -1,20 +1,21 @@
 """Exact minimax evaluation of the isolation game with a transposition table.
 
 The game value of a state depends only on the marked set and whose turn it
-is, so the table is keyed by ``(marked_mask, minimizer_to_move)``. The
-minimizer (Dominator) takes the minimum over successors, the maximizer
-(Staller) the maximum, and ties break toward the lowest vertex index so
-principal lines are reproducible across runs.
+is, so the table maps ``(marked_mask, minimizer_to_move)`` to the value
+alone. The minimizer (Dominator) takes the minimum over successors, the
+maximizer (Staller) the maximum. Full minimax stores every child of a stored
+state, so optimal moves and principal lines are read back from the table,
+ties broken toward the lowest vertex index so lines are reproducible.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import StateSpaceBudgetExceeded, TerminalState
-from .graph import Graph, as_mask, encode_graph6, mask_list
+from .graph import Graph, as_mask, encode_graph6, mask_list, mask_of
 from .rules import ForbiddenFamily, MarkState, close_marks, initial_closure
 
 DEFAULT_MEMO_CAP = 1 << 26
@@ -42,33 +43,30 @@ class GameResult:
 def _search(
     g: Graph,
     fam: ForbiddenFamily,
-    memo: dict[tuple[int, bool], tuple[int, int | None]],
+    memo: dict[tuple[int, bool], int],
     memo_cap: int,
-) -> Callable[[int, bool], tuple[int, int | None]]:
+) -> Callable[[int, bool], int]:
     """Bind the recursive evaluator over one graph/family/table triple."""
     closed = g.closed
     full = g.full_mask
 
-    def value_of(marked: int, dom_to_move: bool) -> tuple[int, int | None]:
+    def value_of(marked: int, dom_to_move: bool) -> int:
         key = (marked, dom_to_move)
         hit = memo.get(key)
         if hit is not None:
             return hit
         if marked == full:
-            result = (0, None)
+            result = 0
         else:
             best = -1
-            best_move = -1
             unmarked = full & ~marked
             for x in range(g.n):
                 if not closed[x] & unmarked:
                     continue
-                child = close_marks(g, fam, marked | closed[x])
-                v = value_of(child, not dom_to_move)[0]
-                if best_move < 0 or (v < best if dom_to_move else v > best):
+                v = value_of(close_marks(g, fam, marked | closed[x]), not dom_to_move)
+                if best < 0 or (v < best if dom_to_move else v > best):
                     best = v
-                    best_move = x
-            result = (1 + best, best_move)
+            result = 1 + best
         if len(memo) >= memo_cap:
             raise StateSpaceBudgetExceeded(
                 f"transposition table exceeded {memo_cap} entries"
@@ -79,44 +77,17 @@ def _search(
     return value_of
 
 
-def _principal_line(
-    g: Graph,
-    fam: ForbiddenFamily,
-    marked: int,
-    mover: Mover,
-    memo: dict[tuple[int, bool], tuple[int, int | None]],
-) -> tuple[int, ...]:
-    line = []
-    dom = mover is Mover.DOMINATOR
-    while True:
-        _, move = memo[(marked, dom)]
-        if move is None:
-            return tuple(line)
-        line.append(move)
-        marked = close_marks(g, fam, marked | g.closed[move])
-        dom = not dom
-
-
-def game_value(
-    g: Graph,
-    fam: ForbiddenFamily,
-    start: MarkState,
-    mover: Mover,
-    *,
-    memo_cap: int = DEFAULT_MEMO_CAP,
-    memo: dict | None = None,
-) -> GameResult:
-    """Evaluate a closed state exactly.
-
-    A shared ``memo`` may be passed in to amortize several starts on the
-    same graph and family; entries are write-once, so reuse is safe.
-    """
-    if memo is None:
-        memo = {}
-    evaluate = _search(g, fam, memo, memo_cap)
-    dom = mover is Mover.DOMINATOR
-    value, move = evaluate(start.marked, dom)
-    return GameResult(value, move, _principal_line(g, fam, start.marked, mover, memo))
+def _optimal_children(
+    g: Graph, fam: ForbiddenFamily, memo: dict, marked: int, dom_to_move: bool
+) -> Iterator[tuple[int, int]]:
+    """Yield ``(move, successor)`` for every optimal move from a solved
+    state, lowest vertex first. Only reads the table."""
+    target = memo[(marked, dom_to_move)] - 1
+    for x in range(g.n):
+        if g.closed[x] & ~marked:
+            child = close_marks(g, fam, marked | g.closed[x])
+            if memo[(child, not dom_to_move)] == target:
+                yield x, child
 
 
 def optimal_moves(
@@ -131,18 +102,9 @@ def optimal_moves(
     if state.is_terminal:
         raise TerminalState("no moves from a fully marked graph")
     memo: dict = {}
-    evaluate = _search(g, fam, memo, memo_cap)
     dom = mover is Mover.DOMINATOR
-    target = evaluate(state.marked, dom)[0] - 1
-    out = 0
-    unmarked = state.unmarked
-    for x in range(g.n):
-        if not g.closed[x] & unmarked:
-            continue
-        child = close_marks(g, fam, state.marked | g.closed[x])
-        if evaluate(child, not dom)[0] == target:
-            out |= 1 << x
-    return out
+    _search(g, fam, memo, memo_cap)(state.marked, dom)
+    return mask_of(x for x, _ in _optimal_children(g, fam, memo, state.marked, dom))
 
 
 def solve(
@@ -154,9 +116,20 @@ def solve(
     memo_cap: int = DEFAULT_MEMO_CAP,
     memo: dict | None = None,
 ) -> GameResult:
-    """Close the initial marks, then evaluate the game from scratch."""
-    state = initial_closure(g, fam, as_mask(initial_marks))
-    return game_value(g, fam, state, start_player, memo_cap=memo_cap, memo=memo)
+    """Close the initial marks, evaluate the game, and read the principal
+    line back from the table. A shared ``memo`` amortizes several starts on
+    one graph and family; entries are write-once, so reuse is safe."""
+    if memo is None:
+        memo = {}
+    marked = initial_closure(g, fam, initial_marks).marked
+    dom = start_player is Mover.DOMINATOR
+    value = _search(g, fam, memo, memo_cap)(marked, dom)
+    line = []
+    for _ in range(value):
+        move, marked = next(_optimal_children(g, fam, memo, marked, dom))
+        line.append(move)
+        dom = not dom
+    return GameResult(value, line[0] if line else None, tuple(line))
 
 
 def solve_both(

@@ -180,7 +180,7 @@ def test_enumerate_out_of_range_exits_one(capsys):
     assert "error" in err
 
 
-def test_output_file_and_memo_cap_env(tmp_path, monkeypatch, capsys):
+def test_output_file_and_memo_cap_flag(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(
         capsys,
@@ -190,11 +190,11 @@ def test_output_file_and_memo_cap_env(tmp_path, monkeypatch, capsys):
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["value"] == 3
 
-    monkeypatch.setenv("ISOGAME_MEMO_CAP", "4")
-    code, _, err = run_cli(capsys, "solve", "--family", "path:9", "--start", "D")
+    code, _, err = run_cli(
+        capsys, "solve", "--family", "path:9", "--start", "D", "--memo-cap", "4"
+    )
     assert code == 1
     assert "transposition table" in err
-    # an explicit flag wins over the environment
     code, out, _ = run_cli(
         capsys,
         "solve", "--family", "path:9", "--start", "D", "--memo-cap", "1000000",
@@ -218,17 +218,26 @@ def test_output_file_and_memo_cap_env(tmp_path, monkeypatch, capsys):
         # a worker count below one (rejected before any pool starts)
         ("--jobs", ["sweep", "--n-max", "3", "--jobs", "-1"]),
         ("--jobs", ["verify", "--check", "conjecture-sweep", "--n-max", "3", "--jobs", "-1"]),
+        # no instance to solve ("EMPTY" stands for an empty file)
+        ("--graph6-file", ["solve", "--graph6-file", "EMPTY"]),
+        ("--family", ["solve", "--family", "alltrees:0"]),
+        ("--family", ["solve", "--family", "alltrees:-2"]),
     ],
     ids=[
         "sandwich-trials", "forest-monotone-n-min", "family-values-n-max",
         "family-values-jobs", "spanning-gap-n-max", "sweep-empty",
         "half-bound-empty", "sweep-jobs", "conjecture-sweep-jobs",
+        "solve-empty-graph6-file", "solve-alltrees-0", "solve-alltrees-negative",
     ],
 )
-def test_unusable_flags_fail_loudly(capsys, flag, argv):
+def test_unusable_flags_fail_loudly(tmp_path, capsys, flag, argv):
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    argv = [str(empty) if a == "EMPTY" else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
+    assert "error" in err
     # the error names the flag by the param it sets
     assert flag[2:].replace("-", "_") in err
 

@@ -256,6 +256,11 @@ def test_parse_forbidden_specs():
 
     with pytest.raises(BadSpec):
         parse_forbidden("K9")
+    # a bad custom pattern fails as the same custom spec does under --family
+    with pytest.raises(BadSpec):
+        parse_forbidden("custom:3:0-9")
+    with pytest.raises(BadSpec):
+        parse_forbidden("custom:64:")
     with pytest.raises(PatternTooLarge):
         parse_forbidden("custom:7:" + ",".join(f"{i}-{i+1}" for i in range(6)))
 

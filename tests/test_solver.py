@@ -11,9 +11,9 @@ from isogame import (
     cycle_graph,
     encode_graph6,
     enumerate_connected,
-    game_value,
     initial_closure,
     is_playable,
+    make_family,
     mask_list,
     mask_of,
     naive_best_moves,
@@ -99,7 +99,7 @@ def test_best_move_is_lowest_indexed_optimum():
             if state.is_terminal:
                 continue
             for mover in (Mover.DOMINATOR, Mover.STALLER):
-                result = game_value(g, fam, state, mover)
+                result = solve(g, fam, mover, state.marked)
                 assert result.best_move == mask_list(
                     optimal_moves(g, fam, state, mover)
                 )[0]
@@ -114,7 +114,7 @@ def test_principal_line_replays_legally():
         mover = (Mover.DOMINATOR, Mover.STALLER)[trial % 2]
         marks = rng.randrange(g.full_mask + 1)
         state = initial_closure(g, fam, marks)
-        result = game_value(g, fam, state, mover)
+        result = solve(g, fam, mover, state.marked)
         assert len(result.principal_line) == result.value
         for x in result.principal_line:
             assert is_playable(state, x)
@@ -132,7 +132,7 @@ def test_value_depends_only_on_marked_set_and_mover():
     assert a.marked == b.marked
     for mover in (Mover.DOMINATOR, Mover.STALLER):
         assert (
-            game_value(g, K2, a, mover).value == game_value(g, K2, b, mover).value
+            solve(g, K2, mover, a.marked).value == solve(g, K2, mover, b.marked).value
         )
 
 
@@ -142,7 +142,7 @@ def test_matches_naive_oracle_small():
             for fam in ALL_FAMS:
                 state = initial_closure(g, fam, 0)
                 for mover in (Mover.DOMINATOR, Mover.STALLER):
-                    assert game_value(g, fam, state, mover).value == naive_game_value(
+                    assert solve(g, fam, mover, state.marked).value == naive_game_value(
                         g, fam, state, mover
                     )
 
@@ -167,9 +167,9 @@ def test_recurrence_holds_on_every_reachable_state():
                     if is_playable(state, x)
                 ]
                 for mover in (Mover.DOMINATOR, Mover.STALLER):
-                    here = game_value(g, fam, state, mover).value
+                    here = solve(g, fam, mover, state.marked).value
                     child_values = [
-                        game_value(g, fam, c, mover.other).value for c in succ
+                        solve(g, fam, mover.other, c.marked).value for c in succ
                     ]
                     pick = min if mover is Mover.DOMINATOR else max
                     assert here == 1 + pick(child_values)
@@ -203,6 +203,28 @@ def test_solve_both_shares_one_table():
     assert (d.value, s.value) == (3, 2)
     assert d.value == solve(g, K2, Mover.DOMINATOR).value
     assert s.value == solve(g, K2, Mover.STALLER).value
+
+
+@pytest.mark.parametrize(
+    "spec, fam, stored",
+    [
+        ("path:13", K2, 352),
+        ("cycle:12", K2, 316),
+        ("hgraph", K2, 98),
+        ("gh:1", K2, 98),
+        ("cycle:10", P3, 104),
+    ],
+)
+def test_table_size_is_pinned(spec, fam, stored):
+    # both starts fill one table with exactly these states; reading the
+    # principal line back from a filled table stores nothing more
+    g = make_family(spec)
+    memo = {}
+    solve(g, fam, Mover.DOMINATOR, memo=memo)
+    solve(g, fam, Mover.STALLER, memo=memo)
+    assert len(memo) == stored
+    solve(g, fam, Mover.DOMINATOR, memo=memo)
+    assert len(memo) == stored
 
 
 def test_memo_cap_is_enforced():
