@@ -5,14 +5,18 @@ patterns as a subgraph; quiet components are dead for the rest of the game,
 so their vertices are absorbed into the marked set. A vertex is playable
 exactly when its closed neighborhood still has an unmarked vertex, and a
 move on ``x`` marks ``N[x]`` plus every component that goes quiet as a
-result. The marked set is kept closed at all times: quiet components are
-re-absorbed from scratch after every change, which costs a few word
-operations at order <= 63 and rules out stale-component bugs.
+result. The marked set is kept closed at all times, so every unmarked
+component is live before a move. A move on ``x`` can only quiet the
+components that meet ``N[N[x]]``: any other component has no neighbor in
+``N[x]``, so it was already a live component before the move. The search
+therefore re-checks only those (:func:`close_near`); :func:`close_marks`
+is the same body run over the whole graph, for marks of unknown history.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import BadSpec, IllegalMove, PatternTooLarge
@@ -105,14 +109,13 @@ def contains_pattern(g: Graph, within: int, pattern: Graph) -> bool:
         return False
     if pattern.num_edges == 0:
         return True  # k distinct vertices suffice
+    order, pat_deg = _pattern_plan(pattern)
     # host degrees inside the induced subgraph, for degree pruning
     host_deg = {v: (g.adj[v] & within).bit_count() for v in avail}
-    pat_deg = sorted((pattern.degree(i) for i in range(k)), reverse=True)
     top = sorted(host_deg.values(), reverse=True)[:k]
     if any(t < p for t, p in zip(top, pat_deg)):
         return False
 
-    order = _matching_order(pattern)
     assigned = [-1] * k
     used = 0
 
@@ -140,6 +143,14 @@ def contains_pattern(g: Graph, within: int, pattern: Graph) -> bool:
         return False
 
     return extend(0)
+
+
+@lru_cache(maxsize=None)
+def _pattern_plan(pattern: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pattern's matching order and its degrees, highest first; built
+    once per pattern, since closure searches the same few patterns."""
+    degrees = tuple(sorted((pattern.degree(i) for i in range(pattern.n)), reverse=True))
+    return tuple(_matching_order(pattern)), degrees
 
 
 def _matching_order(pattern: Graph) -> list[int]:
@@ -171,28 +182,38 @@ def close_marks(g: Graph, fam: ForbiddenFamily, marked: int) -> int:
     One pass suffices: removing a whole component leaves the remaining
     components untouched, so no new quiet component can appear.
     """
-    full = g.full_mask
-    active = full & ~marked
-    if not active:
-        return marked
+    return close_near(g, fam, marked, g.full_mask)
+
+
+def close_near(g: Graph, fam: ForbiddenFamily, marked: int, near: int) -> int:
+    """Absorb the quiet components of the unmarked part that meet ``near``.
+
+    Equals :func:`close_marks` when every unmarked component that misses
+    ``near`` is live, e.g. after ``marked = closed | N[x]`` for a closed
+    set and ``near = N[N[x]]``.
+    """
     mode = fam.mode
-    if mode == _MODE_NONE:
-        return marked
-    if mode == _MODE_ALL:
-        return full
     if mode == _MODE_EDGE:
+        # quiet <=> isolated; ``near`` lies inside the graph, so
+        # ``near & ~marked`` is the unmarked part of it
+        unmarked = ~marked
         extra = 0
-        rest = active
+        rest = near & unmarked
         while rest:
             low = rest & -rest
-            v = low.bit_length() - 1
-            if not g.adj[v] & active:
+            if not g.adj[low.bit_length() - 1] & unmarked:
                 extra |= low
             rest ^= low
         return marked | extra
+    full = g.full_mask
+    active = full & ~marked
+    if not active or mode == _MODE_NONE:
+        return marked
+    if mode == _MODE_ALL:
+        return full
     out = marked
     for comp in components(g, active):
-        if is_forbidden_component(g, comp, fam):
+        if comp & near and is_forbidden_component(g, comp, fam):
             out |= comp
     return out
 

@@ -5,7 +5,9 @@ is, so the table maps ``(marked_mask, minimizer_to_move)`` to the value
 alone. The minimizer (Dominator) takes the minimum over successors, the
 maximizer (Staller) the maximum. Full minimax stores every child of a stored
 state, so optimal moves and principal lines are read back from the table,
-ties broken toward the lowest vertex index so lines are reproducible.
+ties broken toward the lowest vertex index so lines are reproducible. The
+root's marks are closed in full; each child is closed only around its move
+(``rules.close_near``), which is exact because its parent was closed.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import StateSpaceBudgetExceeded, TerminalState
-from .graph import Graph, as_mask, encode_graph6, mask_list, mask_of
-from .rules import ForbiddenFamily, MarkState, close_marks, initial_closure
+from .graph import Graph, as_mask, closed_neighborhood, encode_graph6, mask_list, mask_of
+from .rules import ForbiddenFamily, MarkState, close_marks, close_near
 
 DEFAULT_MEMO_CAP = 1 << 26
 
@@ -40,14 +42,21 @@ class GameResult:
     principal_line: tuple[int, ...]
 
 
+def _move_table(g: Graph) -> list[tuple[int, int]]:
+    """Per vertex ``x``: what playing it marks, ``N[x]``, and where a
+    component can go quiet as a result, ``N[N[x]]``."""
+    return [(hit, closed_neighborhood(g, hit)) for hit in g.closed]
+
+
 def _search(
     g: Graph,
     fam: ForbiddenFamily,
+    moves: list[tuple[int, int]],
     memo: dict[tuple[int, bool], int],
     memo_cap: int,
 ) -> Callable[[int, bool], int]:
-    """Bind the recursive evaluator over one graph/family/table triple."""
-    closed = g.closed
+    """Bind the recursive evaluator over one graph, family, move table and
+    value table. The marked sets it is called on must be closed."""
     full = g.full_mask
 
     def value_of(marked: int, dom_to_move: bool) -> int:
@@ -60,10 +69,10 @@ def _search(
         else:
             best = -1
             unmarked = full & ~marked
-            for x in range(g.n):
-                if not closed[x] & unmarked:
+            for hit, near in moves:
+                if not hit & unmarked:
                     continue
-                v = value_of(close_marks(g, fam, marked | closed[x]), not dom_to_move)
+                v = value_of(close_near(g, fam, marked | hit, near), not dom_to_move)
                 if best < 0 or (v < best if dom_to_move else v > best):
                     best = v
             result = 1 + best
@@ -78,14 +87,19 @@ def _search(
 
 
 def _optimal_children(
-    g: Graph, fam: ForbiddenFamily, memo: dict, marked: int, dom_to_move: bool
+    g: Graph,
+    fam: ForbiddenFamily,
+    moves: list[tuple[int, int]],
+    memo: dict,
+    marked: int,
+    dom_to_move: bool,
 ) -> Iterator[tuple[int, int]]:
     """Yield ``(move, successor)`` for every optimal move from a solved
     state, lowest vertex first. Only reads the table."""
     target = memo[(marked, dom_to_move)] - 1
-    for x in range(g.n):
-        if g.closed[x] & ~marked:
-            child = close_marks(g, fam, marked | g.closed[x])
+    for x, (hit, near) in enumerate(moves):
+        if hit & ~marked:
+            child = close_near(g, fam, marked | hit, near)
             if memo[(child, not dom_to_move)] == target:
                 yield x, child
 
@@ -98,13 +112,16 @@ def optimal_moves(
     *,
     memo_cap: int = DEFAULT_MEMO_CAP,
 ) -> int:
-    """Mask of every playable vertex whose successor attains the optimum."""
-    if state.is_terminal:
+    """Mask of every playable vertex whose successor attains the optimum,
+    after closing the state's marks."""
+    marked = close_marks(g, fam, state.marked)
+    if marked == g.full_mask:
         raise TerminalState("no moves from a fully marked graph")
+    moves = _move_table(g)
     memo: dict = {}
     dom = mover is Mover.DOMINATOR
-    _search(g, fam, memo, memo_cap)(state.marked, dom)
-    return mask_of(x for x, _ in _optimal_children(g, fam, memo, state.marked, dom))
+    _search(g, fam, moves, memo, memo_cap)(marked, dom)
+    return mask_of(x for x, _ in _optimal_children(g, fam, moves, memo, marked, dom))
 
 
 def solve(
@@ -121,12 +138,13 @@ def solve(
     one graph and family; entries are write-once, so reuse is safe."""
     if memo is None:
         memo = {}
-    marked = initial_closure(g, fam, initial_marks).marked
+    marked = close_marks(g, fam, as_mask(initial_marks))
+    moves = _move_table(g)
     dom = start_player is Mover.DOMINATOR
-    value = _search(g, fam, memo, memo_cap)(marked, dom)
+    value = _search(g, fam, moves, memo, memo_cap)(marked, dom)
     line = []
     for _ in range(value):
-        move, marked = next(_optimal_children(g, fam, memo, marked, dom))
+        move, marked = next(_optimal_children(g, fam, moves, memo, marked, dom))
         line.append(move)
         dom = not dom
     return GameResult(value, line[0] if line else None, tuple(line))

@@ -41,7 +41,7 @@ from isogame import (
     three_path_family,
 )
 from isogame.graph import iter_mask
-from isogame.rules import ForbiddenFamily, MarkState
+from isogame.rules import ForbiddenFamily, MarkState, close_near
 from strategies import graphs, graphs_with_masks
 
 K1 = single_vertex_family()
@@ -229,6 +229,25 @@ def test_closure_is_idempotent(gm):
     for fam in ALL_FAMS:
         once = close_marks(g, fam, marks)
         assert close_marks(g, fam, once) == once
+
+
+NEAR_FAMS = ALL_FAMS + (parse_forbidden("custom:3:0-1,1-2,0-2"),)
+
+
+@given(graphs_with_masks(max_n=7))
+def test_near_closure_after_a_move_equals_full_closure(gm):
+    # the search closes each child only around N[N[x]] of its move; from a
+    # closed set that must absorb exactly what full closure absorbs
+    g, mask = gm
+    for fam in NEAR_FAMS:
+        m = close_marks(g, fam, mask)
+        for x in range(g.n):
+            if not g.closed[x] & ~m:
+                continue
+            hit = g.closed[x]
+            assert close_near(
+                g, fam, m | hit, closed_neighborhood(g, hit)
+            ) == close_marks(g, fam, m | hit)
 
 
 def test_fast_absorption_paths_match_generic_search():

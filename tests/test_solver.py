@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 from isogame import (
+    MarkState,
     Mover,
     StateSpaceBudgetExceeded,
     TerminalState,
@@ -90,6 +91,21 @@ def test_optimal_moves_rejects_terminal():
     g = complete_graph(1)
     with pytest.raises(TerminalState):
         optimal_moves(g, K2, initial_closure(g, K2, 0), Mover.DOMINATOR)
+
+
+def test_optimal_moves_closes_the_root_first():
+    # a hand-built state skips closure: {1} marked on P_3 leaves two quiet
+    # singletons, so the closed state is terminal
+    p3 = path_graph(3)
+    with pytest.raises(TerminalState):
+        optimal_moves(p3, K2, MarkState(p3, mask_of([1])), Mover.DOMINATOR)
+    # {1, 5} on P_7 strands vertices 0 and 6; the search must start from
+    # the closed marks, or near-only child closure misses them
+    p7 = path_graph(7)
+    state = MarkState(p7, mask_of([1, 5]))
+    closed = initial_closure(p7, K2, state.marked)
+    assert optimal_moves(p7, K2, state, Mover.DOMINATOR) == mask_of([2, 3, 4])
+    assert naive_best_moves(p7, K2, closed, Mover.DOMINATOR) == mask_of([2, 3, 4])
 
 
 def test_best_move_is_lowest_indexed_optimum():
