@@ -134,19 +134,24 @@ def components(g: Graph, active: int | Iterable[int]) -> list[int]:
     out = []
     remaining = active
     while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            for v in iter_mask(frontier):
-                nxt |= g.adj[v]
-            nxt &= active & ~comp
-            comp |= nxt
-            frontier = nxt
+        comp = component_of(g, remaining & -remaining, active)
         out.append(comp)
         remaining &= ~comp
     return out
+
+
+def component_of(g: Graph, seed: int, active: int) -> int:
+    """The component of g[active] that holds ``seed``, a one-vertex mask
+    inside ``active``, grown by breadth-first search."""
+    comp = frontier = seed
+    while frontier:
+        nxt = 0
+        for v in iter_mask(frontier):
+            nxt |= g.adj[v]
+        nxt &= active & ~comp
+        comp |= nxt
+        frontier = nxt
+    return comp
 
 
 def is_connected(g: Graph) -> bool:

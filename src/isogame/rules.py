@@ -21,7 +21,8 @@ from typing import Iterable
 
 from .errors import BadSpec, IllegalMove, PatternTooLarge
 from .families import make_family
-from .graph import Graph, as_mask, build_graph, components, iter_mask, mask_list
+from .graph import Graph, as_mask, build_graph, component_of, iter_mask, mask_list
+from .graph import components  # noqa: F401  (perfbench wraps rules.components)
 
 MAX_PATTERN_ORDER = 6
 
@@ -211,10 +212,14 @@ def close_near(g: Graph, fam: ForbiddenFamily, marked: int, near: int) -> int:
         return marked
     if mode == _MODE_ALL:
         return full
+    # grow only the components that meet ``near``, one seed at a time
     out = marked
-    for comp in components(g, active):
-        if comp & near and is_forbidden_component(g, comp, fam):
+    seeds = near & active
+    while seeds:
+        comp = component_of(g, seeds & -seeds, active)
+        if is_forbidden_component(g, comp, fam):
             out |= comp
+        seeds &= ~comp
     return out
 
 

@@ -1,13 +1,20 @@
-"""Exact minimax evaluation of the isolation game with a transposition table.
+"""Exact evaluation of the isolation game by null-window tests over a
+table of value bounds.
 
 The game value of a state depends only on the marked set and whose turn it
-is, so the table maps ``(marked_mask, minimizer_to_move)`` to the value
-alone. The minimizer (Dominator) takes the minimum over successors, the
-maximizer (Staller) the maximum. Full minimax stores every child of a stored
-state, so optimal moves and principal lines are read back from the table,
-ties broken toward the lowest vertex index so lines are reproducible. The
-root's marks are closed in full; each child is closed only around its move
-(``rules.close_near``), which is exact because its parent was closed.
+is. The search never computes a value directly: it answers "is the value
+at most ``k``?" (Knuth & Moore 1975; Plaat et al. 1996, MTD(f)). The
+minimizer (Dominator) passes when some successor passes at ``k - 1``, the
+maximizer (Staller) when every successor does, so the first decisive child
+ends the test. The table maps ``(marked_mask, minimizer_to_move)`` to
+``(lo, hi)`` bounds on the exact value; a pass sets ``hi = k``, a fail
+sets ``lo = k + 1``, and a test the bounds already decide is answered from
+the table. The value is the least ``k`` whose test passes, counting up
+from 0. Optimal moves and principal lines are read with one test per
+child, lowest vertex first, so ties break toward the lowest vertex index
+and lines are reproducible. The root's marks are closed in full; each
+child is closed only around its move (``rules.close_near``), which is
+exact because its parent was closed.
 """
 
 from __future__ import annotations
@@ -52,55 +59,77 @@ def _search(
     g: Graph,
     fam: ForbiddenFamily,
     moves: list[tuple[int, int]],
-    memo: dict[tuple[int, bool], int],
+    table: dict[tuple[int, bool], tuple[int, int]],
     memo_cap: int,
-) -> Callable[[int, bool], int]:
-    """Bind the recursive evaluator over one graph, family, move table and
-    value table. The marked sets it is called on must be closed."""
+) -> Callable[[int, bool, int], bool]:
+    """Bind the null-window test "is the value at most ``k``?" over one
+    graph, family, move table and bounds table. The marked sets it is
+    called on must be closed."""
     full = g.full_mask
+    # every move marks a new vertex, so a live state lasts 1..n moves
+    default = (1, g.n)
 
-    def value_of(marked: int, dom_to_move: bool) -> int:
-        key = (marked, dom_to_move)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    def at_most(marked: int, dom_to_move: bool, k: int) -> bool:
         if marked == full:
-            result = 0
-        else:
-            best = -1
-            unmarked = full & ~marked
-            for hit, near in moves:
-                if not hit & unmarked:
-                    continue
-                v = value_of(close_near(g, fam, marked | hit, near), not dom_to_move)
-                if best < 0 or (v < best if dom_to_move else v > best):
-                    best = v
-            result = 1 + best
-        if len(memo) >= memo_cap:
+            return k >= 0
+        key = (marked, dom_to_move)
+        bounds = table.get(key)
+        lo, hi = default if bounds is None else bounds
+        if hi <= k:
+            return True
+        if lo > k:
+            return False
+        # Dominator passes if some child does, Staller if every child does,
+        # so the first child whose answer equals ``dom_to_move`` decides
+        passed = not dom_to_move
+        unmarked = full & ~marked
+        for hit, near in moves:
+            if hit & unmarked and at_most(
+                close_near(g, fam, marked | hit, near), not dom_to_move, k - 1
+            ) is dom_to_move:
+                passed = dom_to_move
+                break
+        if bounds is None and len(table) >= memo_cap:
             raise StateSpaceBudgetExceeded(
                 f"transposition table exceeded {memo_cap} entries"
             )
-        memo[key] = result
-        return result
+        table[key] = (lo, k) if passed else (k + 1, hi)
+        return passed
 
-    return value_of
+    return at_most
+
+
+def _value(
+    at_most: Callable[[int, bool, int], bool], marked: int, dom_to_move: bool
+) -> int:
+    """The least ``k`` whose test passes, counting up from 0."""
+    k = 0
+    while not at_most(marked, dom_to_move, k):
+        k += 1
+    return k
 
 
 def _optimal_children(
     g: Graph,
     fam: ForbiddenFamily,
     moves: list[tuple[int, int]],
-    memo: dict,
+    at_most: Callable[[int, bool, int], bool],
     marked: int,
     dom_to_move: bool,
+    value: int,
 ) -> Iterator[tuple[int, int]]:
-    """Yield ``(move, successor)`` for every optimal move from a solved
-    state, lowest vertex first. Only reads the table."""
-    target = memo[(marked, dom_to_move)] - 1
+    """Yield ``(move, successor)`` for every optimal move from a state of
+    the given value, lowest vertex first, with one test per child. After a
+    Dominator move every child is worth at least ``value - 1``, after a
+    Staller move at most that, so one test tells whether a child equals it."""
     for x, (hit, near) in enumerate(moves):
         if hit & ~marked:
             child = close_near(g, fam, marked | hit, near)
-            if memo[(child, not dom_to_move)] == target:
+            if (
+                at_most(child, False, value - 1)
+                if dom_to_move
+                else not at_most(child, True, value - 2)
+            ):
                 yield x, child
 
 
@@ -118,10 +147,12 @@ def optimal_moves(
     if marked == g.full_mask:
         raise TerminalState("no moves from a fully marked graph")
     moves = _move_table(g)
-    memo: dict = {}
+    at_most = _search(g, fam, moves, {}, memo_cap)
     dom = mover is Mover.DOMINATOR
-    _search(g, fam, moves, memo, memo_cap)(marked, dom)
-    return mask_of(x for x, _ in _optimal_children(g, fam, moves, memo, marked, dom))
+    value = _value(at_most, marked, dom)
+    return mask_of(
+        x for x, _ in _optimal_children(g, fam, moves, at_most, marked, dom, value)
+    )
 
 
 def solve(
@@ -133,18 +164,22 @@ def solve(
     memo_cap: int = DEFAULT_MEMO_CAP,
     memo: dict | None = None,
 ) -> GameResult:
-    """Close the initial marks, evaluate the game, and read the principal
-    line back from the table. A shared ``memo`` amortizes several starts on
-    one graph and family; entries are write-once, so reuse is safe."""
+    """Close the initial marks, find the value, and read the principal line
+    with one test per child. A shared ``memo`` (the bounds table) amortizes
+    several starts on one graph and family; entries only ever tighten, so
+    reuse is safe."""
     if memo is None:
         memo = {}
     marked = close_marks(g, fam, as_mask(initial_marks))
     moves = _move_table(g)
+    at_most = _search(g, fam, moves, memo, memo_cap)
     dom = start_player is Mover.DOMINATOR
-    value = _search(g, fam, moves, memo, memo_cap)(marked, dom)
+    value = _value(at_most, marked, dom)
     line = []
-    for _ in range(value):
-        move, marked = next(_optimal_children(g, fam, moves, memo, marked, dom))
+    for left in range(value, 0, -1):
+        move, marked = next(
+            _optimal_children(g, fam, moves, at_most, marked, dom, left)
+        )
         line.append(move)
         dom = not dom
     return GameResult(value, line[0] if line else None, tuple(line))
@@ -157,7 +192,7 @@ def solve_both(
     *,
     memo_cap: int = DEFAULT_MEMO_CAP,
 ) -> tuple[GameResult, GameResult]:
-    """Dominator-start and Staller-start results sharing one table."""
+    """Dominator-start and Staller-start results sharing one bounds table."""
     memo: dict = {}
     d = solve(g, fam, Mover.DOMINATOR, initial_marks, memo_cap=memo_cap, memo=memo)
     s = solve(g, fam, Mover.STALLER, initial_marks, memo_cap=memo_cap, memo=memo)

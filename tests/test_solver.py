@@ -1,6 +1,7 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
 
 from isogame import (
     MarkState,
@@ -8,6 +9,7 @@ from isogame import (
     StateSpaceBudgetExceeded,
     TerminalState,
     apply_move,
+    close_marks,
     complete_graph,
     cycle_graph,
     encode_graph6,
@@ -28,6 +30,8 @@ from isogame import (
     solve_both,
     three_path_family,
 )
+from strategies import graphs_with_masks
+
 K1 = single_vertex_family()
 K2 = single_edge_family()
 P3 = three_path_family()
@@ -224,16 +228,19 @@ def test_solve_both_shares_one_table():
 @pytest.mark.parametrize(
     "spec, fam, stored",
     [
-        ("path:13", K2, 352),
-        ("cycle:12", K2, 316),
-        ("hgraph", K2, 98),
-        ("gh:1", K2, 98),
-        ("cycle:10", P3, 104),
+        ("path:13", K2, 216),
+        ("cycle:12", K2, 167),
+        ("hgraph", K2, 71),
+        ("gh:1", K2, 71),
+        ("cycle:10", P3, 30),
     ],
+    ids=["path:13-K2", "cycle:12-K2", "hgraph-K2", "gh:1-K2", "cycle:10-P3"],
 )
 def test_table_size_is_pinned(spec, fam, stored):
-    # both starts fill one table with exactly these states; reading the
-    # principal line back from a filled table stores nothing more
+    # both starts fill one bounds table with exactly these states; a test
+    # stops at the first decisive child, so children it never reached
+    # stay out of the table. Re-solving asks only tests the table
+    # already answers, so it stores nothing more
     g = make_family(spec)
     memo = {}
     solve(g, fam, Mover.DOMINATOR, memo=memo)
@@ -241,6 +248,30 @@ def test_table_size_is_pinned(spec, fam, stored):
     assert len(memo) == stored
     solve(g, fam, Mover.DOMINATOR, memo=memo)
     assert len(memo) == stored
+
+
+@settings(deadline=None)
+@given(graphs_with_masks(max_n=7))
+def test_stored_bounds_bracket_the_true_value(gm):
+    # a test only ever tightens a state's bounds toward its exact value,
+    # so every stored (lo, hi) must hold the naive oracle's value, and the
+    # one-test-per-child walk must find every optimal move
+    g, mask = gm
+    for fam in ALL_FAMS:
+        marked = close_marks(g, fam, mask)
+        memo = {}
+        solve(g, fam, Mover.DOMINATOR, marked, memo=memo)
+        solve(g, fam, Mover.STALLER, marked, memo=memo)
+        for (m, dom), (lo, hi) in memo.items():
+            mover = Mover.DOMINATOR if dom else Mover.STALLER
+            assert lo <= naive_game_value(g, fam, MarkState(g, m), mover) <= hi
+        if marked == g.full_mask:
+            continue
+        state = MarkState(g, marked)
+        for mover in (Mover.DOMINATOR, Mover.STALLER):
+            assert optimal_moves(g, fam, state, mover) == naive_best_moves(
+                g, fam, state, mover
+            )
 
 
 def test_memo_cap_is_enforced():
