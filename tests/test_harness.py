@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from isogame import (
     path_graph,
     run_check,
 )
+from isogame.cli import _rows_to_csv
 from isogame.harness import CHECKS, ceil_three_sevenths, find_witness
 
 # small overrides per kind, so every registered runner executes quickly
@@ -202,3 +204,68 @@ def test_sweep_jobs_gives_identical_rows():
     serial = conjecture_sweep(5)
     parallel = conjecture_sweep(5, jobs=2)
     assert serial.rows == parallel.rows
+
+
+# sha256 of (CSV rows, reproducible JSON) for every check at its default
+# params; a refactor of the checks must leave both artifacts byte-identical,
+# and a new or changed param shows up here because params are in the JSON
+PINNED_DIGESTS = {
+    "diff-at-most-one": (
+        "5ce672d6e3ddbff3fcca3b8863bda87c26e1c96904a5fdfc29f3f3e199a1d79c",
+        "92dba3049ce1fbb65e14820d8dc2acf79c481d8bee03ee335cf87e05fb72c60b",
+    ),
+    "continuation-principle": (
+        "f3f5e3cbad1c2d359c699b88a14e46d5dcf2496be71bd31308005d7999dbeb97",
+        "47168b5440fde4494675fea15625c3b9df7ed3684f0b4175bc7e059207d6cf1c",
+    ),
+    "sandwich": (
+        "67af8faed112b1583872cebcac0c5aefef9dc4026984c419e647cf4e54d5181b",
+        "5b81045717d439a13a0ce2f3ccf3ebdd0471631917d24a3e26ad4e3d7d2de790",
+    ),
+    "family-monotone": (
+        "3679df5653d845e575310e2b60c3e3afc78d643e2cc7d05dc247d0cef6ad295f",
+        "f19d52c44ab5087697545c026e3bc845d4f252a79c36d97e8be86fb26f86fd3c",
+    ),
+    "half-bound": (
+        "f98108921a2e0592fe867eba2b879c202f61a3c7c442c6607a723eafb589598e",
+        "e4b62483d597cd94d19948d271d8d4b39b9f51442017abdf7f068be6a2fc57ce",
+    ),
+    "spanning-gap": (
+        "27f72a322e2b7c9d15e4022a610751808345ce3f475b462789cf08eab80ad745",
+        "d0a748ae16823f4eefda6c4ab43de4507d303476877ab9be2925d9aacaa646d1",
+    ),
+    "forest-monotone": (
+        "1bf649391de5b64fa3ccf18a2a356dda3b832e0074e52d610e96346ab458ccbf",
+        "0def15a595dc5248caf332136294d6c4b12b31698f5f480b754897469aec0016",
+    ),
+    "path-bounds": (
+        "76ca341e251aaa0c68ebc1c30aa6f30a9f793ad5680801a27d30db59328d1f86",
+        "8824ca1454fb4f9258165d02876498b74e62388971ee1beb5c48dcdbe7fb5315",
+    ),
+    "path-exact": (
+        "76ca341e251aaa0c68ebc1c30aa6f30a9f793ad5680801a27d30db59328d1f86",
+        "bb7da4127ceb95968a3bf95421c4beb65b97b6e3eb9769746960c0157eeef1ef",
+    ),
+    "star-addition": (
+        "080fed909671724f76bcda9a590e6c13e83dda53a134597e38a8ae87768c0a50",
+        "279d0ae8e500a9c896e9fbe37e2d2669973ce20071314669d87ac130e300ea24",
+    ),
+    "family-values": (
+        "7d2b7fb7cf824c8986bcc8dd93ac3fd830e6ba1de44a9fcd5c91353a410079cf",
+        "e70c7516a3f9e7d7301c8a5afffd06f8d23f8af8915c8176f4f432139e636f3f",
+    ),
+    "conjecture-sweep": (
+        "5025384d37008f5c13feb6b35cbe514b8c7bbbc0d94bcf9cb484530363c7039e",
+        "b6ed02cac9bbb9ad67aed0a70fac7f20a72dfa1c968e6f3990964cf545a703be",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(CheckKind), ids=lambda k: k.value)
+def test_check_artifacts_are_pinned(kind):
+    report = run_check(kind)
+    digests = tuple(
+        hashlib.sha256(text.encode()).hexdigest()
+        for text in (_rows_to_csv(report.rows), report.to_json(reproducible=True))
+    )
+    assert digests == PINNED_DIGESTS[kind.value]
