@@ -109,6 +109,8 @@ def _csv_cell(value) -> str:
 
 
 def _run_solve(args: argparse.Namespace) -> int:
+    if args.memo_cap < 1:
+        raise BadSpec(f"memo_cap must be at least 1, got {args.memo_cap}")
     fam = parse_forbidden(args.forbidden)
     if args.graph6 is not None:
         graphs = [parse_graph6(args.graph6)]

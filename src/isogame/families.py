@@ -144,12 +144,24 @@ _SCALAR_TAGS = {
 }
 
 
+#: Most fields a tag takes after itself; unlisted tags take one. gstar's
+#: fields are a base spec, which is checked when that spec is parsed.
+_MAX_FIELDS = {"hgraph": 0, "ftriangles": 2, "custom": 2}
+
+
 def parse_family_spec(text: str) -> FamilySpec:
     parts = text.strip().split(":")
     tag = parts[0].lower()
     if tag not in _SCALAR_TAGS and tag != "alltrees":
         raise BadSpec(f"unknown family tag {tag!r}")
-    return FamilySpec(tag, tuple(parts[1:]))
+    args = tuple(parts[1:])
+    most = _MAX_FIELDS.get(tag, 1)
+    if tag != "gstar" and len(args) > most:
+        raise BadSpec(
+            f"family spec {text.strip()!r} gives {len(args)} field(s) after "
+            f"the tag, but {tag} takes at most {most}"
+        )
+    return FamilySpec(tag, args)
 
 
 def _int_arg(spec: FamilySpec, idx: int, what: str) -> int:

@@ -85,9 +85,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def relabel(self, label: str) -> "Graph":
-        return Graph(self.n, self.adj, label)
-
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]], label: str | None = None) -> Graph:
     """Build a graph from an edge list; duplicates collapse, pairs symmetrize.

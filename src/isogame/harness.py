@@ -16,6 +16,13 @@ Each check kind binds one property:
 * ``family-values``          star-of-paths and linked-gadget reference values
 * ``conjecture-sweep``       D, S <= ceil(3n/7) findings report
 
+The catalog checks (diff-at-most-one, sandwich, half-bound and
+conjecture-sweep) are rows over one solved-catalog pass: ``_solved_catalog``
+walks the connected-graph catalog and solves both starts once per graph,
+serially or in a process pool, and each check keeps its own columns and
+predicate. family-monotone solves only Dominator starts, so it walks the
+catalog itself.
+
 Reports are deterministic for a fixed seed; violations carry enough data
 (graph6, marks, seed) to replay any finding with one solve call.
 """
@@ -28,7 +35,7 @@ import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .enumeration import all_trees, canonical_form, enumerate_connected, tree_classes
 from .errors import BadSpec, BudgetExceeded
@@ -114,10 +121,35 @@ class CheckReport:
         return json.dumps(self.summary(reproducible), indent=2, sort_keys=True)
 
 
-def _connected_range(n_min: int, n_max: int) -> Iterable[tuple[int, Graph]]:
+def _connected_range(n_min: int, n_max: int) -> Iterator[Graph]:
     for n in range(n_min, n_max + 1):
-        for g in enumerate_connected(n):
-            yield n, g
+        yield from enumerate_connected(n)
+
+
+def _solve_values(job: tuple[Graph, ForbiddenFamily]) -> tuple[Graph, int, int]:
+    g, fam = job
+    d, s = solve_both(g, fam)
+    return g, d.value, s.value
+
+
+def _solved_catalog(
+    n_min: int, n_max: int, fam: ForbiddenFamily, jobs: int = 1
+) -> Iterator[tuple[Graph, int, int]]:
+    """Every connected graph of order n_min..n_max with its D- and S-start
+    values under fam, in catalog order. Serially each graph is solved as it
+    is yielded; with jobs > 1 a process pool solves ahead of the consumer.
+    """
+    work = ((g, fam) for g in _connected_range(n_min, n_max))
+    if jobs == 1:
+        yield from map(_solve_values, work)
+        return
+    with multiprocessing.Pool(jobs) as pool:
+        yield from pool.imap(_solve_values, work, chunksize=256)
+
+
+def _head(g: Graph, tag: str) -> dict:
+    """The graph6, n and family columns every row starts with."""
+    return {"graph6": encode_graph6(g), "n": g.n, "family": tag}
 
 
 def _path_bound_columns(n: int) -> tuple[int, int]:
@@ -136,22 +168,12 @@ def ceil_three_sevenths(n: int) -> int:
 def _check_diff_at_most_one(n_min: int, n_max: int, fams: Sequence[str]) -> tuple:
     rows, violations, extremal = [], [], []
     for fam in map(parse_forbidden, fams):
-        for n, g in _connected_range(n_min, n_max):
-            d, s = solve_both(g, fam)
-            row = {
-                "graph6": encode_graph6(g),
-                "n": n,
-                "family": fam.tag,
-                "d_value": d.value,
-                "s_value": s.value,
-                "diff": d.value - s.value,
-            }
+        for g, d, s in _solved_catalog(n_min, n_max, fam):
+            row = {**_head(g, fam.tag), "d_value": d, "s_value": s, "diff": d - s}
             rows.append(row)
-            if abs(d.value - s.value) > 1:
-                violations.append(
-                    {**row, "observed": abs(d.value - s.value), "expected": "<=1"}
-                )
-            elif abs(d.value - s.value) == 1 and len(extremal) < 10:
+            if abs(d - s) > 1:
+                violations.append({**row, "observed": abs(d - s), "expected": "<=1"})
+            elif abs(d - s) == 1 and len(extremal) < 10:
                 extremal.append(row)
     return rows, violations, extremal, {}
 
@@ -160,28 +182,25 @@ def _check_sandwich(n_min: int, n_max: int, fams: Sequence[str]) -> tuple:
     rows, violations, extremal = [], [], []
     tight = 0
     for fam in map(parse_forbidden, fams):
-        for n, g in _connected_range(n_min, n_max):
+        for g, d, s in _solved_catalog(n_min, n_max, fam):
             iota = isolation_number(g, fam).size
-            d, s = solve_both(g, fam)
             # a graph with nothing to isolate has a zero-move game; the
             # 2*iota - 1 bound degenerates there, so it is clamped at 0
             d_hi = max(2 * iota - 1, 0)
             s_hi = 2 * iota
             row = {
-                "graph6": encode_graph6(g),
-                "n": n,
-                "family": fam.tag,
+                **_head(g, fam.tag),
                 "iota": iota,
-                "d_value": d.value,
-                "s_value": s.value,
+                "d_value": d,
+                "s_value": s,
                 "d_upper": d_hi,
                 "s_upper": s_hi,
             }
             rows.append(row)
-            if not (iota <= d.value <= d_hi and iota <= s.value <= s_hi):
-                violations.append({**row, "observed": (d.value, s.value),
+            if not (iota <= d <= d_hi and iota <= s <= s_hi):
+                violations.append({**row, "observed": (d, s),
                                    "expected": f"within [{iota}, {d_hi}] / [{iota}, {s_hi}]"})
-            if d.value == d_hi and iota > 0:
+            if d == d_hi and iota > 0:
                 tight += 1
                 if len(extremal) < 10:
                     extremal.append(row)
@@ -196,14 +215,12 @@ def _check_family_monotone(n_min: int, n_max: int) -> tuple:
         three_path_family(),
     )
     best_gap = None
-    for n, g in _connected_range(n_min, n_max):
+    for g in _connected_range(n_min, n_max):
         gamma = solve(g, k1, Mover.DOMINATOR).value
         edge = solve(g, k2, Mover.DOMINATOR).value
         path3 = solve(g, p3, Mover.DOMINATOR).value
         row = {
-            "graph6": encode_graph6(g),
-            "n": n,
-            "family": "K1/K2/P3",
+            **_head(g, "K1/K2/P3"),
             "d_value": edge,
             "s_value": None,
             "gamma_g": gamma,
@@ -224,20 +241,12 @@ def _check_family_monotone(n_min: int, n_max: int) -> tuple:
 def _check_half_bound(n_min: int, n_max: int) -> tuple:
     rows, violations, extremal = [], [], []
     fam = single_edge_family()
-    for n, g in _connected_range(n_min, n_max):
-        d, s = solve_both(g, fam)
-        row = {
-            "graph6": encode_graph6(g),
-            "n": n,
-            "family": fam.tag,
-            "d_value": d.value,
-            "s_value": s.value,
-            "half_order": n / 2,
-        }
+    for g, d, s in _solved_catalog(n_min, n_max, fam):
+        row = {**_head(g, fam.tag), "d_value": d, "s_value": s, "half_order": g.n / 2}
         rows.append(row)
-        if 2 * d.value > n:
-            violations.append({**row, "observed": d.value, "expected": f"<= {n/2}"})
-        elif 2 * d.value == n and len(extremal) < 10:
+        if 2 * d > g.n:
+            violations.append({**row, "observed": d, "expected": f"<= {g.n/2}"})
+        elif 2 * d == g.n and len(extremal) < 10:
             extremal.append(row)
     return rows, violations, extremal, {}
 
@@ -249,9 +258,7 @@ def _check_spanning_gap(ns: Sequence[int]) -> tuple:
     def expect(g: Graph, want: int) -> None:
         got = solve(g, fam, Mover.DOMINATOR).value
         row = {
-            "graph6": encode_graph6(g),
-            "n": g.n,
-            "family": fam.tag,
+            **_head(g, fam.tag),
             "d_value": got,
             "s_value": None,
             "expected": want,
@@ -297,9 +304,7 @@ def _check_forest_monotone(
     def check_state(g: Graph, marks: int, source: str) -> None:
         d, s = solve_both(g, fam, marks)
         row = {
-            "graph6": encode_graph6(g),
-            "n": g.n,
-            "family": fam.tag,
+            **_head(g, fam.tag),
             "marks": mask_list(marks),
             "d_value": d.value,
             "s_value": s.value,
@@ -346,9 +351,7 @@ def _check_continuation(
             ad, a_s = (res.value for res in solve_both(g, fam, a))
             bd, b_s = (res.value for res in solve_both(g, fam, b))
             row = {
-                "graph6": encode_graph6(g),
-                "n": n,
-                "family": fam.tag,
+                **_head(g, fam.tag),
                 "a_marks": mask_list(a),
                 "b_marks": mask_list(b),
                 "d_value": (ad, bd),
@@ -422,9 +425,7 @@ def _check_star_addition(
             u = disjoint_union(g, star_graph(r))
             ud, us = (res.value for res in solve_both(u, fam, marks))
             row = {
-                "graph6": encode_graph6(g),
-                "n": g.n,
-                "family": fam.tag,
+                **_head(g, fam.tag),
                 "marks": mask_list(marks),
                 "star_leaves": r,
                 "d_value": (base_d, ud),
@@ -451,9 +452,7 @@ def _check_family_values() -> tuple:
     for name, g, marks, want in cases:
         d, s = (res.value for res in solve_both(g, fam, marks))
         row = {
-            "graph6": encode_graph6(g),
-            "n": g.n,
-            "family": fam.tag,
+            **_head(g, fam.tag),
             "label": name,
             "marks": mask_list(marks),
             "d_value": d,
@@ -471,37 +470,19 @@ def _check_family_values() -> tuple:
     return rows, violations, extremal, meta
 
 
-def _sweep_solve(args: tuple[str, int]) -> tuple[str, int, int, int]:
-    text, n = args
-    g = parse_graph6(text)
-    d, s = solve_both(g, single_edge_family())
-    return text, n, d.value, s.value
-
-
 def _check_conjecture_sweep(n_max: int, jobs: int) -> tuple:
     if n_max > 8:
         raise BudgetExceeded(f"conjecture sweep capped at order 8, got {n_max}")
     if jobs < 1:
         raise BadSpec(f"jobs must be at least 1, got {jobs}")
-    work: list[tuple[str, int]] = []
-    for n in range(3, n_max + 1):
-        for g in enumerate_connected(n):
-            work.append((encode_graph6(g), n))
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            solved = pool.map(_sweep_solve, work, chunksize=256)
-    else:
-        solved = [_sweep_solve(item) for item in work]
-
+    fam = single_edge_family()
     rows, violations, witnesses = [], [], []
     best_ratio = 0.0
     best_row: dict | None = None
-    for text, n, d, s in solved:
-        bound = ceil_three_sevenths(n)
+    for g, d, s in _solved_catalog(3, n_max, fam, jobs):
+        bound = ceil_three_sevenths(g.n)
         row = {
-            "graph6": text,
-            "n": n,
-            "family": "K2",
+            **_head(g, fam.tag),
             "d_value": d,
             "s_value": s,
             "bound": bound,
@@ -533,12 +514,11 @@ def path_table(n_min: int = 6, n_max: int = 23) -> list[dict]:
     rows = []
     for n in range(n_min, n_max + 1):
         lower, upper = _path_bound_columns(n)
-        d, s = solve_both(path_graph(n), fam)
+        g = path_graph(n)
+        d, s = solve_both(g, fam)
         rows.append(
             {
-                "graph6": encode_graph6(path_graph(n)),
-                "n": n,
-                "family": fam.tag,
+                **_head(g, fam.tag),
                 "lower": lower,
                 "d_value": d.value,
                 "s_value": s.value,

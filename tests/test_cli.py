@@ -222,12 +222,22 @@ def test_output_file_and_memo_cap_flag(tmp_path, capsys):
         ("--graph6-file", ["solve", "--graph6-file", "EMPTY"]),
         ("--family", ["solve", "--family", "alltrees:0"]),
         ("--family", ["solve", "--family", "alltrees:-2"]),
+        # a family spec with more fields than its tag takes
+        ("--family", ["solve", "--family", "path:6:99"]),
+        ("--spec", ["family", "--spec", "hgraph:5"]),
+        ("--spec", ["family", "--spec", "gstar:complete:1:9"]),
+        # a table cap below one (rejected before any solve)
+        ("--memo-cap", ["solve", "--family", "complete:1", "--memo-cap", "-5"]),
+        ("--memo-cap", ["solve", "--family", "path:5", "--memo-cap", "0"]),
     ],
     ids=[
         "sandwich-trials", "forest-monotone-n-min", "family-values-n-max",
         "family-values-jobs", "spanning-gap-n-max", "sweep-empty",
         "half-bound-empty", "sweep-jobs", "conjecture-sweep-jobs",
         "solve-empty-graph6-file", "solve-alltrees-0", "solve-alltrees-negative",
+        "solve-family-extra-field", "family-spec-extra-field",
+        "family-spec-gstar-base-extra-field", "solve-memo-cap-negative",
+        "solve-memo-cap-zero",
     ],
 )
 def test_unusable_flags_fail_loudly(tmp_path, capsys, flag, argv):

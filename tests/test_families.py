@@ -116,6 +116,11 @@ def test_spec_language_errors():
         make_family("gstar")
     with pytest.raises(BadSpec):
         make_family("custom:3:0-9")
+    # a field the tag does not take is an error, never silently dropped
+    for spec in ("path:6:99", "hgraph:5", "cycle:6:x", "gh:1:2", "ftriangles:3:2:1",
+                 "custom:3:0-1:junk", "gstar:complete:1:9", "alltrees:4:1"):
+        with pytest.raises(BadSpec, match="family spec"):
+            list(iter_family(spec))
 
 
 def test_iter_family_alltrees():

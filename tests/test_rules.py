@@ -280,6 +280,8 @@ def test_parse_forbidden_specs():
         parse_forbidden("custom:3:0-9")
     with pytest.raises(BadSpec):
         parse_forbidden("custom:64:")
+    with pytest.raises(BadSpec, match="family spec"):
+        parse_forbidden("custom:3:0-1:junk")
     with pytest.raises(PatternTooLarge):
         parse_forbidden("custom:7:" + ",".join(f"{i}-{i+1}" for i in range(6)))
 
