@@ -31,7 +31,6 @@ from .enumeration import (
     all_trees,
     are_isomorphic,
     canonical_form,
-    canonical_graph,
     enumerate_connected,
     tree_classes,
 )

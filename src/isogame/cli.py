@@ -138,10 +138,7 @@ def _run_solve(args: argparse.Namespace) -> int:
         payload = records[0] if len(records) == 1 else records
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        text = _rows_to_csv(
-            [{**r, "principal_line": tuple(r["principal_line"]),
-              "initial_marks": tuple(r["initial_marks"])} for r in records]
-        )
+        text = _rows_to_csv(records)
     _emit(text, args.output)
     return 0
 

@@ -125,10 +125,6 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
     return tuple(out)
 
 
-def canonical_graph(g: Graph) -> Graph:
-    return Graph(g.n, canonical_form(g), g.label)
-
-
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     return g.n == h.n and canonical_form(g) == canonical_form(h)
 

@@ -98,24 +98,20 @@ def f_triangles(n: int, k: int) -> Graph:
     return build_graph(3 * n, edges, f"ftriangles:{n}:{k}")
 
 
-def g_h(n: int, base: Graph | None = None) -> Graph:
-    """Chain of private hgraph copies: vertex i of the base is identified
-    with v_4 of copy i. The base defaults to a path, so the order is 12n.
+def g_h(n: int) -> Graph:
+    """Chain of n private hgraph copies: v_4 of copy i is identified with
+    vertex i of the path P_n, so the order is 12n.
     """
     if n < 1:
         raise BadSpec("gh copy count must be positive")
-    if base is None:
-        base = path_graph(n)
-    if base.n != n:
-        raise BadSpec("gh base order must equal the copy count")
     if 12 * n > MAX_ORDER:
         raise BadSpec(f"gh order {12 * n} exceeds {MAX_ORDER}")
     edges = []
     for i in range(n):
         off = 12 * i
         edges += [(off + u, off + v) for u, v in H_GRAPH_EDGES]
-    # v_4 of copy i is index 12*i + 3
-    edges += [(12 * u + 3, 12 * v + 3) for u, v in base.edges()]
+    # v_4 of copy i is index 12*i + 3; consecutive copies are joined there
+    edges += [(12 * i + 3, 12 * i + 15) for i in range(n - 1)]
     return build_graph(12 * n, edges, f"gh:{n}")
 
 

@@ -35,9 +35,12 @@ import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .enumeration import all_trees, canonical_form, enumerate_connected, tree_classes
+from .enumeration import (
+    MAX_ENUM_ORDER, all_trees, canonical_form, enumerate_connected, tree_classes
+)
 from .errors import BadSpec, BudgetExceeded
 from .families import (
     f_triangles,
@@ -122,8 +125,13 @@ class CheckReport:
 
 
 def _connected_range(n_min: int, n_max: int) -> Iterator[Graph]:
-    for n in range(n_min, n_max + 1):
-        yield from enumerate_connected(n)
+    """The connected catalog of orders n_min..n_max, its range checked at
+    the call: before any graph is built, solved or sent to a pool."""
+    if n_min < 1:
+        raise BadSpec(f"n_min must be at least 1, got {n_min}")
+    if n_max > MAX_ENUM_ORDER:
+        raise BudgetExceeded(f"catalog capped at order {MAX_ENUM_ORDER}, got n_max={n_max}")
+    return chain.from_iterable(map(enumerate_connected, range(n_min, n_max + 1)))
 
 
 def _solve_values(job: tuple[Graph, ForbiddenFamily]) -> tuple[Graph, int, int]:
@@ -398,12 +406,15 @@ def _check_path_exact(n_min: int, n_max: int) -> tuple:
     return rows, violations, extremal, {"exact_orders": covered}
 
 
+#: star-addition skips base instances whose D-start game is longer than this
+STAR_ADDITION_VALUE_CAP = 4
+
+
 def _check_star_addition(
     orders: Sequence[int],
     per_order: int,
     star_sizes: Sequence[int],
     seed: int,
-    value_cap: int = 4,
 ) -> tuple:
     rows, violations, extremal = [], [], []
     fam = single_edge_family()
@@ -418,7 +429,7 @@ def _check_star_addition(
 
     for g, marks in instances:
         base_d, base_s = (res.value for res in solve_both(g, fam, marks))
-        if base_d > value_cap:
+        if base_d > STAR_ADDITION_VALUE_CAP:
             skipped += 1
             continue
         for r in star_sizes:
@@ -471,8 +482,6 @@ def _check_family_values() -> tuple:
 
 
 def _check_conjecture_sweep(n_max: int, jobs: int) -> tuple:
-    if n_max > 8:
-        raise BudgetExceeded(f"conjecture sweep capped at order 8, got {n_max}")
     if jobs < 1:
         raise BadSpec(f"jobs must be at least 1, got {jobs}")
     fam = single_edge_family()

@@ -2,8 +2,9 @@
 
 Everything here trades speed for independence: isolation numbers come from
 subset enumeration, game values from unmemoized tree recursion. The game
-oracle shares the rulebook (move legality and marking updates) but nothing
-from the solver's transposition machinery.
+oracle shares the rulebook (marking closure, move legality and marking
+updates) but nothing from the solver's search; like the solver, it closes
+a start's marks before playing from it.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, TerminalState
 from .graph import Graph, as_mask, closed_neighborhood, components, mask_of
 from .rules import (
     ForbiddenFamily,
     MarkState,
+    close_marks,
     initial_closure,
     is_forbidden_component,
     updated_marks,
@@ -67,7 +69,7 @@ def isolation_number(g: Graph, fam: ForbiddenFamily) -> IsolationCertificate:
 def naive_game_value(
     g: Graph, fam: ForbiddenFamily, start: MarkState, mover: Mover
 ) -> int:
-    """Game value by pure tree recursion; no table, order capped at 7."""
+    """Game value by tree recursion from the closed start; order capped at 7."""
     if g.n > MAX_NAIVE_ORDER:
         raise BudgetExceeded(
             f"naive recursion capped at order {MAX_NAIVE_ORDER}, got {g.n}"
@@ -84,18 +86,21 @@ def naive_game_value(
             if g.closed[x] & ~marked
         )
 
-    return recurse(start.marked, mover is Mover.DOMINATOR)
+    return recurse(close_marks(g, fam, start.marked), mover is Mover.DOMINATOR)
 
 
 def naive_best_moves(
     g: Graph, fam: ForbiddenFamily, start: MarkState, mover: Mover
 ) -> int:
-    """Mask of optimal moves per the naive recursion (test-side reference)."""
+    """Mask of optimal moves from the closed start per the naive recursion."""
+    marked = close_marks(g, fam, start.marked)
+    if marked == g.full_mask:
+        raise TerminalState("no moves from a fully marked graph")
     dom = mover is Mover.DOMINATOR
     results = {}
     for x in range(g.n):
-        if g.closed[x] & ~start.marked:
-            child = MarkState(g, updated_marks(g, fam, start.marked, x))
+        if g.closed[x] & ~marked:
+            child = MarkState(g, updated_marks(g, fam, marked, x))
             results[x] = naive_game_value(g, fam, child, mover.other)
     target = min(results.values()) if dom else max(results.values())
     return mask_of(x for x, v in results.items() if v == target)

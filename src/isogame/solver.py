@@ -27,7 +27,7 @@ from .errors import StateSpaceBudgetExceeded, TerminalState
 from .graph import Graph, as_mask, closed_neighborhood, encode_graph6, mask_list, mask_of
 from .rules import ForbiddenFamily, MarkState, close_marks, close_near
 
-DEFAULT_MEMO_CAP = 1 << 26
+DEFAULT_MEMO_CAP = 1 << 24
 
 
 class Mover(enum.Enum):
@@ -49,23 +49,20 @@ class GameResult:
     principal_line: tuple[int, ...]
 
 
-def _move_table(g: Graph) -> list[tuple[int, int]]:
-    """Per vertex ``x``: what playing it marks, ``N[x]``, and where a
-    component can go quiet as a result, ``N[N[x]]``."""
-    return [(hit, closed_neighborhood(g, hit)) for hit in g.closed]
-
-
 def _search(
     g: Graph,
     fam: ForbiddenFamily,
-    moves: list[tuple[int, int]],
+    marks: int,
+    dom_to_move: bool,
     table: dict[tuple[int, bool], tuple[int, int]],
     memo_cap: int,
-) -> Callable[[int, bool, int], bool]:
-    """Bind the null-window test "is the value at most ``k``?" over one
-    graph, family, move table and bounds table. The marked sets it is
-    called on must be closed."""
+) -> tuple[int, int, Callable[[int, bool, int], Iterator[tuple[int, int]]]]:
+    """One solve's context: close ``marks``, count the value of that state
+    up from 0, and return ``(closed marks, value, optimal_children)``. Both
+    closures share one move table and the bounds ``table``."""
     full = g.full_mask
+    # per vertex x: what playing it marks, N[x], and where closure can act, N[N[x]]
+    moves = [(hit, closed_neighborhood(g, hit)) for hit in g.closed]
     # every move marks a new vertex, so a live state lasts 1..n moves
     default = (1, g.n)
 
@@ -96,41 +93,26 @@ def _search(
         table[key] = (lo, k) if passed else (k + 1, hi)
         return passed
 
-    return at_most
+    def optimal_children(marked: int, dom_to_move: bool, value: int) -> Iterator:
+        """Yield ``(move, successor)`` for each optimal move, lowest vertex
+        first. After a Dominator move every child is worth at least
+        ``value - 1``, after a Staller move at most that, so one test per
+        child tells whether it attains the value."""
+        for x, (hit, near) in enumerate(moves):
+            if hit & ~marked:
+                child = close_near(g, fam, marked | hit, near)
+                if (
+                    at_most(child, False, value - 1)
+                    if dom_to_move
+                    else not at_most(child, True, value - 2)
+                ):
+                    yield x, child
 
-
-def _value(
-    at_most: Callable[[int, bool, int], bool], marked: int, dom_to_move: bool
-) -> int:
-    """The least ``k`` whose test passes, counting up from 0."""
-    k = 0
-    while not at_most(marked, dom_to_move, k):
-        k += 1
-    return k
-
-
-def _optimal_children(
-    g: Graph,
-    fam: ForbiddenFamily,
-    moves: list[tuple[int, int]],
-    at_most: Callable[[int, bool, int], bool],
-    marked: int,
-    dom_to_move: bool,
-    value: int,
-) -> Iterator[tuple[int, int]]:
-    """Yield ``(move, successor)`` for every optimal move from a state of
-    the given value, lowest vertex first, with one test per child. After a
-    Dominator move every child is worth at least ``value - 1``, after a
-    Staller move at most that, so one test tells whether a child equals it."""
-    for x, (hit, near) in enumerate(moves):
-        if hit & ~marked:
-            child = close_near(g, fam, marked | hit, near)
-            if (
-                at_most(child, False, value - 1)
-                if dom_to_move
-                else not at_most(child, True, value - 2)
-            ):
-                yield x, child
+    marked = close_marks(g, fam, marks)
+    value = 0
+    while not at_most(marked, dom_to_move, value):
+        value += 1
+    return marked, value, optimal_children
 
 
 def optimal_moves(
@@ -143,16 +125,11 @@ def optimal_moves(
 ) -> int:
     """Mask of every playable vertex whose successor attains the optimum,
     after closing the state's marks."""
-    marked = close_marks(g, fam, state.marked)
+    dom = mover is Mover.DOMINATOR
+    marked, value, optimal_children = _search(g, fam, state.marked, dom, {}, memo_cap)
     if marked == g.full_mask:
         raise TerminalState("no moves from a fully marked graph")
-    moves = _move_table(g)
-    at_most = _search(g, fam, moves, {}, memo_cap)
-    dom = mover is Mover.DOMINATOR
-    value = _value(at_most, marked, dom)
-    return mask_of(
-        x for x, _ in _optimal_children(g, fam, moves, at_most, marked, dom, value)
-    )
+    return mask_of(x for x, _ in optimal_children(marked, dom, value))
 
 
 def solve(
@@ -168,18 +145,13 @@ def solve(
     with one test per child. A shared ``memo`` (the bounds table) amortizes
     several starts on one graph and family; entries only ever tighten, so
     reuse is safe."""
-    if memo is None:
-        memo = {}
-    marked = close_marks(g, fam, as_mask(initial_marks))
-    moves = _move_table(g)
-    at_most = _search(g, fam, moves, memo, memo_cap)
     dom = start_player is Mover.DOMINATOR
-    value = _value(at_most, marked, dom)
+    marked, value, optimal_children = _search(
+        g, fam, as_mask(initial_marks), dom, {} if memo is None else memo, memo_cap
+    )
     line = []
     for left in range(value, 0, -1):
-        move, marked = next(
-            _optimal_children(g, fam, moves, at_most, marked, dom, left)
-        )
+        move, marked = next(optimal_children(marked, dom, left))
         line.append(move)
         dom = not dom
     return GameResult(value, line[0] if line else None, tuple(line))

@@ -215,6 +215,9 @@ def test_output_file_and_memo_cap_flag(tmp_path, capsys):
         # an empty instance set
         ("--n-max", ["sweep", "--n-max", "2"]),
         ("--n-min", ["verify", "--check", "half-bound", "--n-min", "5", "--n-max", "4"]),
+        # an order range outside the connected catalog
+        ("--n-max", ["verify", "--check", "half-bound", "--n-max", "9"]),
+        ("--n-min", ["verify", "--check", "sandwich", "--n-min", "0"]),
         # a worker count below one (rejected before any pool starts)
         ("--jobs", ["sweep", "--n-max", "3", "--jobs", "-1"]),
         ("--jobs", ["verify", "--check", "conjecture-sweep", "--n-max", "3", "--jobs", "-1"]),
@@ -233,7 +236,8 @@ def test_output_file_and_memo_cap_flag(tmp_path, capsys):
     ids=[
         "sandwich-trials", "forest-monotone-n-min", "family-values-n-max",
         "family-values-jobs", "spanning-gap-n-max", "sweep-empty",
-        "half-bound-empty", "sweep-jobs", "conjecture-sweep-jobs",
+        "half-bound-empty", "half-bound-n-max-capped", "sandwich-n-min-zero",
+        "sweep-jobs", "conjecture-sweep-jobs",
         "solve-empty-graph6-file", "solve-alltrees-0", "solve-alltrees-negative",
         "solve-family-extra-field", "family-spec-extra-field",
         "family-spec-gstar-base-extra-field", "solve-memo-cap-negative",

@@ -171,6 +171,31 @@ def test_conjecture_sweep_budget():
         conjecture_sweep(9)
 
 
+CATALOG_KINDS = (
+    CheckKind.DIFF_AT_MOST_ONE,
+    CheckKind.SANDWICH,
+    CheckKind.FAMILY_MONOTONE,
+    CheckKind.HALF_BOUND,
+    CheckKind.CONJECTURE_SWEEP,
+)
+
+
+@pytest.mark.parametrize("kind", CATALOG_KINDS, ids=lambda k: k.value)
+def test_catalog_order_range_fails_before_any_solve(monkeypatch, kind):
+    # an order outside the catalog must fail at once, not after every
+    # smaller order has been solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the order range was checked")
+
+    monkeypatch.setattr(harness, "solve_both", no_solve)
+    monkeypatch.setattr(harness, "solve", no_solve)
+    with pytest.raises(BudgetExceeded, match="capped.*n_max"):
+        run_check(kind, n_max=9)
+    if "n_min" in CHECKS[kind].defaults:
+        with pytest.raises(BadSpec, match="n_min"):
+            run_check(kind, n_min=0)
+
+
 def test_ceiling_helper():
     assert ceil_three_sevenths(6) == 3
     assert ceil_three_sevenths(7) == 3

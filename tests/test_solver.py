@@ -103,6 +103,10 @@ def test_optimal_moves_closes_the_root_first():
     p3 = path_graph(3)
     with pytest.raises(TerminalState):
         optimal_moves(p3, K2, MarkState(p3, mask_of([1])), Mover.DOMINATOR)
+    # the naive oracle closes its start the same way
+    assert naive_game_value(p3, K2, MarkState(p3, mask_of([1])), Mover.DOMINATOR) == 0
+    with pytest.raises(TerminalState):
+        naive_best_moves(p3, K2, MarkState(p3, mask_of([1])), Mover.DOMINATOR)
     # {1, 5} on P_7 strands vertices 0 and 6; the search must start from
     # the closed marks, or near-only child closure misses them
     p7 = path_graph(7)
@@ -272,6 +276,26 @@ def test_stored_bounds_bracket_the_true_value(gm):
             assert optimal_moves(g, fam, state, mover) == naive_best_moves(
                 g, fam, state, mover
             )
+
+
+@settings(deadline=None)
+@given(graphs_with_masks(max_n=6))
+def test_naive_oracle_closes_its_start(gm):
+    # a hand-built state may leave quiet components unmarked; the oracle
+    # must close it first, as the solver does, and agree on its value
+    g, mask = gm
+    state = MarkState(g, mask)
+    for fam in ALL_FAMS:
+        for mover in (Mover.DOMINATOR, Mover.STALLER):
+            want = solve(g, fam, mover, mask).value
+            assert naive_game_value(g, fam, state, mover) == want
+            if close_marks(g, fam, mask) == g.full_mask:
+                with pytest.raises(TerminalState):
+                    naive_best_moves(g, fam, state, mover)
+            else:
+                assert naive_best_moves(g, fam, state, mover) == optimal_moves(
+                    g, fam, state, mover
+                )
 
 
 def test_memo_cap_is_enforced():
