@@ -35,7 +35,6 @@ from .enumeration import (
     tree_classes,
 )
 from .families import (
-    FamilySpec,
     complete_graph,
     cycle_graph,
     f_triangles,
@@ -45,7 +44,6 @@ from .families import (
     h_graph,
     iter_family,
     make_family,
-    parse_family_spec,
     path_graph,
     star_graph,
     vertex_name_to_index,

@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="conjecture sweep up to an order")
     p_sweep.add_argument("--n-max", type=int, required=True)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=None)
     p_sweep.add_argument("--format", dest="fmt",
                          choices=("plain", "json", "csv"), default="plain")
     p_sweep.add_argument("--output", default=None)
@@ -126,9 +126,6 @@ def _run_solve(args: argparse.Namespace) -> int:
 
     records = []
     for g in graphs:
-        bad = [v for v in marks if not 0 <= v < g.n]
-        if bad:
-            raise IsolationGameError(f"marks {bad} out of range for order {g.n}")
         result = solve(g, fam, start, marks, memo_cap=args.memo_cap)
         records.append(result_record(g, fam, start, marks, result))
 
@@ -173,7 +170,8 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    report = conjecture_sweep(args.n_max, jobs=args.jobs)
+    given = {} if args.jobs is None else {"jobs": args.jobs}
+    report = conjecture_sweep(args.n_max, **given)
     return _emit_report(report, args)
 
 

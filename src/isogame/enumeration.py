@@ -30,8 +30,11 @@ MAX_ENUM_ORDER = 8
 #: Connected graph counts by order, a frozen cross-check for the catalog.
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
-#: Non-isomorphic tree counts by order.
-TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
+#: Non-isomorphic tree counts by order (OEIS A000055).
+TREE_COUNTS = {
+    1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
+    11: 235, 12: 551, 13: 1301, 14: 3159, 15: 7741, 16: 19320,
+}
 
 
 def _refined_colors(n: int, adj: tuple[int, ...]) -> list[int]:

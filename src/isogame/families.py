@@ -8,8 +8,7 @@ Specs use the ``tag:params`` form accepted by the CLI: ``path:n``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .enumeration import all_trees
 from .errors import BadEdge, BadSpec, OrderTooLarge
@@ -119,52 +118,60 @@ def g_h(n: int) -> Graph:
 def vertex_name_to_index(name: str) -> int:
     name = name.strip()
     if name.startswith("v") and name[1:].isdigit():
-        return int(name[1:]) - 1
-    return int(name)
+        index = int(name[1:]) - 1
+    else:
+        index = int(name)
+    if index < 0:
+        raise BadSpec(f"vertex name {name!r} is out of range; names start at v1 or 0")
+    return index
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parsed family spec: a tag plus its raw argument fields."""
-
-    tag: str
-    args: tuple[str, ...] = ()
-
-    def __str__(self) -> str:
-        return ":".join((self.tag,) + self.args)
+def _trees(n: int) -> Iterator[Graph]:
+    if n < 1:
+        raise BadSpec(f"family alltrees order must be positive, got {n}")
+    return all_trees(n)
 
 
-_SCALAR_TAGS = {
-    "path", "cycle", "complete", "star", "hgraph",
-    "gstar", "gtriangles", "ftriangles", "gh", "custom",
+#: Every tag whose fields are all integers: its builder and the names of its
+#: fields, in order. A spec gives at most that many fields. ``alltrees``
+#: names a sequence of graphs, so only :func:`iter_family` builds it.
+_INT_TAGS: dict[str, tuple[Callable[..., Graph | Iterator[Graph]], tuple[str, ...]]] = {
+    "path": (path_graph, ("order",)),
+    "cycle": (cycle_graph, ("order",)),
+    "complete": (complete_graph, ("order",)),
+    "star": (star_graph, ("leaf count",)),
+    "hgraph": (h_graph, ()),
+    "gtriangles": (g_triangles, ("triangle count",)),
+    "ftriangles": (f_triangles, ("triangle count", "k")),
+    "gh": (g_h, ("copy count",)),
+    "alltrees": (_trees, ("order",)),
 }
 
 
-#: Most fields a tag takes after itself; unlisted tags take one. gstar's
-#: fields are a base spec, which is checked when that spec is parsed.
-_MAX_FIELDS = {"hgraph": 0, "ftriangles": 2, "custom": 2}
+def _split(text: str) -> tuple[str, list[str]]:
+    tag, *args = text.strip().split(":")
+    return tag.lower(), args
 
 
-def parse_family_spec(text: str) -> FamilySpec:
-    parts = text.strip().split(":")
-    tag = parts[0].lower()
-    if tag not in _SCALAR_TAGS and tag != "alltrees":
-        raise BadSpec(f"unknown family tag {tag!r}")
-    args = tuple(parts[1:])
-    most = _MAX_FIELDS.get(tag, 1)
-    if tag != "gstar" and len(args) > most:
+def _at_most(text: str, tag: str, args: list[str], most: int) -> None:
+    if len(args) > most:
         raise BadSpec(
             f"family spec {text.strip()!r} gives {len(args)} field(s) after "
             f"the tag, but {tag} takes at most {most}"
         )
-    return FamilySpec(tag, args)
 
 
-def _int_arg(spec: FamilySpec, idx: int, what: str) -> int:
-    try:
-        return int(spec.args[idx])
-    except (IndexError, ValueError):
-        raise BadSpec(f"family {spec.tag!r} needs an integer {what}") from None
+def _ints(text: str, tag: str, args: list[str], names: tuple[str, ...]) -> list[int]:
+    """The spec's fields as integers, one per name; a field beyond the
+    names, a missing one or a non-integer one is an error."""
+    _at_most(text, tag, args, len(names))
+    out = []
+    for i, what in enumerate(names):
+        try:
+            out.append(int(args[i]))
+        except (IndexError, ValueError):
+            raise BadSpec(f"family {tag!r} needs an integer {what}") from None
+    return out
 
 
 def _parse_edge_list(text: str) -> list[tuple[int, int]]:
@@ -180,55 +187,44 @@ def _parse_edge_list(text: str) -> list[tuple[int, int]]:
     return edges
 
 
-def make_family(spec: FamilySpec | str) -> Graph:
+def _make(text: str, if_sequence: str) -> Graph:
+    """Build the single graph a spec names; ``if_sequence`` is the error
+    text for a spec that names a sequence."""
+    tag, args = _split(text)
+    if tag == "gstar":
+        if not args:
+            raise BadSpec("gstar needs a base spec, e.g. gstar:complete:1")
+        return g_star(_make(":".join(args), "gstar base must be a single graph"))
+    if tag == "custom":
+        _at_most(text, tag, args, 2)
+        (n,) = _ints(text, tag, args[:1], ("order",))
+        edges = _parse_edge_list(args[1] if len(args) > 1 else "")
+        try:
+            return build_graph(n, edges, ":".join([tag, *args]))
+        except (BadEdge, OrderTooLarge) as exc:
+            raise BadSpec(f"bad custom graph: {exc}") from exc
+    if tag not in _INT_TAGS:
+        raise BadSpec(f"unknown family tag {tag!r}")
+    build, names = _INT_TAGS[tag]
+    if tag == "alltrees":
+        _at_most(text, tag, args, len(names))
+        raise BadSpec(if_sequence)
+    return build(*_ints(text, tag, args, names))
+
+
+def make_family(spec: str) -> Graph:
     """Build the single graph named by a family spec.
 
     ``alltrees`` denotes a sequence, not one graph; use :func:`iter_family`.
     """
-    if isinstance(spec, str):
-        spec = parse_family_spec(spec)
-    tag = spec.tag
-    if tag == "path":
-        return path_graph(_int_arg(spec, 0, "order"))
-    if tag == "cycle":
-        return cycle_graph(_int_arg(spec, 0, "order"))
-    if tag == "complete":
-        return complete_graph(_int_arg(spec, 0, "order"))
-    if tag == "star":
-        return star_graph(_int_arg(spec, 0, "leaf count"))
-    if tag == "hgraph":
-        return h_graph()
-    if tag == "gstar":
-        if not spec.args:
-            raise BadSpec("gstar needs a base spec, e.g. gstar:complete:1")
-        base_spec = parse_family_spec(":".join(spec.args))
-        if base_spec.tag == "alltrees":
-            raise BadSpec("gstar base must be a single graph")
-        return g_star(make_family(base_spec))
-    if tag == "gtriangles":
-        return g_triangles(_int_arg(spec, 0, "triangle count"))
-    if tag == "ftriangles":
-        return f_triangles(_int_arg(spec, 0, "triangle count"), _int_arg(spec, 1, "k"))
-    if tag == "gh":
-        return g_h(_int_arg(spec, 0, "copy count"))
-    if tag == "custom":
-        n = _int_arg(spec, 0, "order")
-        edges = _parse_edge_list(spec.args[1] if len(spec.args) > 1 else "")
-        try:
-            return build_graph(n, edges, str(spec))
-        except (BadEdge, OrderTooLarge) as exc:
-            raise BadSpec(f"bad custom graph: {exc}") from exc
-    raise BadSpec(f"family {tag!r} is a sequence; use iter_family")
+    return _make(spec, "family 'alltrees' is a sequence; use iter_family")
 
 
-def iter_family(spec: FamilySpec | str) -> Iterator[Graph]:
-    """Yield the graph(s) a spec denotes; scalar tags yield exactly one."""
-    if isinstance(spec, str):
-        spec = parse_family_spec(spec)
-    if spec.tag == "alltrees":
-        n = _int_arg(spec, 0, "order")
-        if n < 1:
-            raise BadSpec(f"family alltrees order must be positive, got {n}")
-        yield from all_trees(n)
+def iter_family(spec: str) -> Iterator[Graph]:
+    """Yield the graph(s) a spec denotes; single-graph tags yield exactly one."""
+    tag, args = _split(spec)
+    if tag == "alltrees":
+        build, names = _INT_TAGS[tag]
+        yield from build(*_ints(spec, tag, args, names))
     else:
         yield make_family(spec)

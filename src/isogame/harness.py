@@ -30,8 +30,10 @@ Reports are deterministic for a fixed seed; violations carry enough data
 from __future__ import annotations
 
 import enum
+import inspect
 import json
 import multiprocessing
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -173,7 +175,9 @@ def ceil_three_sevenths(n: int) -> int:
 # --- individual checks ---------------------------------------------------
 
 
-def _check_diff_at_most_one(n_min: int, n_max: int, fams: Sequence[str]) -> tuple:
+def _check_diff_at_most_one(
+    n_min: int = 1, n_max: int = 6, fams: Sequence[str] = ("K1", "K2")
+) -> tuple:
     rows, violations, extremal = [], [], []
     for fam in map(parse_forbidden, fams):
         for g, d, s in _solved_catalog(n_min, n_max, fam):
@@ -186,7 +190,9 @@ def _check_diff_at_most_one(n_min: int, n_max: int, fams: Sequence[str]) -> tupl
     return rows, violations, extremal, {}
 
 
-def _check_sandwich(n_min: int, n_max: int, fams: Sequence[str]) -> tuple:
+def _check_sandwich(
+    n_min: int = 1, n_max: int = 6, fams: Sequence[str] = ("K1", "K2")
+) -> tuple:
     rows, violations, extremal = [], [], []
     tight = 0
     for fam in map(parse_forbidden, fams):
@@ -215,7 +221,7 @@ def _check_sandwich(n_min: int, n_max: int, fams: Sequence[str]) -> tuple:
     return rows, violations, extremal, {"d_upper_tight": tight}
 
 
-def _check_family_monotone(n_min: int, n_max: int) -> tuple:
+def _check_family_monotone(n_min: int = 1, n_max: int = 6) -> tuple:
     rows, violations, extremal = [], [], []
     k1, k2, p3 = (
         single_vertex_family(),
@@ -246,7 +252,7 @@ def _check_family_monotone(n_min: int, n_max: int) -> tuple:
     return rows, violations, extremal, {}
 
 
-def _check_half_bound(n_min: int, n_max: int) -> tuple:
+def _check_half_bound(n_min: int = 1, n_max: int = 6) -> tuple:
     rows, violations, extremal = [], [], []
     fam = single_edge_family()
     for g, d, s in _solved_catalog(n_min, n_max, fam):
@@ -259,7 +265,7 @@ def _check_half_bound(n_min: int, n_max: int) -> tuple:
     return rows, violations, extremal, {}
 
 
-def _check_spanning_gap(ns: Sequence[int]) -> tuple:
+def _check_spanning_gap(ns: Sequence[int] = (3, 4)) -> tuple:
     rows, violations, extremal = [], [], []
     fam = single_edge_family()
 
@@ -299,11 +305,11 @@ def _random_closed_marks(g: Graph, fam: ForbiddenFamily, rng: random.Random) -> 
 
 
 def _check_forest_monotone(
-    tree_n_max: int,
-    pruefer_n_max: int,
-    forest_orders: Sequence[int],
-    forests_per_order: int,
-    seed: int,
+    tree_n_max: int = 9,
+    pruefer_n_max: int = 6,
+    forest_orders: Sequence[int] = (6, 7, 8, 9),
+    forests_per_order: int = 100,
+    seed: int = 0,
 ) -> tuple:
     rows, violations, extremal = [], [], []
     fam = single_edge_family()
@@ -336,7 +342,7 @@ def _check_forest_monotone(
 
 
 def _check_continuation(
-    orders: Sequence[int], trials_per_order: int, seed: int
+    orders: Sequence[int] = (4, 5, 6, 7), trials_per_order: int = 200, seed: int = 0
 ) -> tuple:
     rows, violations, extremal = [], [], []
     fams = [single_vertex_family(), single_edge_family(), three_path_family()]
@@ -373,7 +379,7 @@ def _check_continuation(
     return rows, violations, extremal, {"seed": seed}
 
 
-def _check_path_bounds(n_min: int, n_max: int) -> tuple:
+def _check_path_bounds(n_min: int = 6, n_max: int = 23) -> tuple:
     rows = path_table(n_min, n_max)
     violations = []
     for row in rows:
@@ -389,7 +395,7 @@ def _check_path_bounds(n_min: int, n_max: int) -> tuple:
     return rows, violations, extremal, {}
 
 
-def _check_path_exact(n_min: int, n_max: int) -> tuple:
+def _check_path_exact(n_min: int = 6, n_max: int = 23) -> tuple:
     rows = path_table(n_min, n_max)
     violations = []
     covered = []
@@ -411,10 +417,10 @@ STAR_ADDITION_VALUE_CAP = 4
 
 
 def _check_star_addition(
-    orders: Sequence[int],
-    per_order: int,
-    star_sizes: Sequence[int],
-    seed: int,
+    orders: Sequence[int] = (4, 5, 6, 7, 8),
+    per_order: int = 25,
+    star_sizes: Sequence[int] = (1, 2, 3),
+    seed: int = 0,
 ) -> tuple:
     rows, violations, extremal = [], [], []
     fam = single_edge_family()
@@ -481,9 +487,13 @@ def _check_family_values() -> tuple:
     return rows, violations, extremal, meta
 
 
-def _check_conjecture_sweep(n_max: int, jobs: int) -> tuple:
+def _check_conjecture_sweep(n_max: int = 6, jobs: int = 1) -> tuple:
+    # checked here, before any pool starts
     if jobs < 1:
         raise BadSpec(f"jobs must be at least 1, got {jobs}")
+    cpus = os.cpu_count() or 1
+    if jobs > cpus:
+        raise BadSpec(f"jobs must be at most the CPU count {cpus}, got {jobs}")
     fam = single_edge_family()
     rows, violations, witnesses = [], [], []
     best_ratio = 0.0
@@ -540,72 +550,56 @@ def path_table(n_min: int = 6, n_max: int = 23) -> list[dict]:
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """One registered check: the runner, every param it takes with its
-    default, and the param that the CLI's ``--trials`` sets (if any)."""
+    """One registered check: the runner, whose keyword defaults are the
+    check's params, and the param that the CLI's ``--trials`` sets (if any)."""
 
     runner: Callable[..., tuple]
-    defaults: dict
     trials: str | None = None
 
+    @property
+    def defaults(self) -> dict:
+        params = inspect.signature(self.runner).parameters.values()
+        return {p.name: p.default for p in params}
 
-_ORDERS = {"n_min": 1, "n_max": 6}
-_PATH_ORDERS = {"n_min": 6, "n_max": 23}
 
 CHECKS: dict[CheckKind, CheckSpec] = {
-    CheckKind.DIFF_AT_MOST_ONE: CheckSpec(
-        _check_diff_at_most_one, {**_ORDERS, "fams": ("K1", "K2")}
-    ),
+    CheckKind.DIFF_AT_MOST_ONE: CheckSpec(_check_diff_at_most_one),
     CheckKind.CONTINUATION_PRINCIPLE: CheckSpec(
-        _check_continuation,
-        {"orders": (4, 5, 6, 7), "trials_per_order": 200, "seed": 0},
-        trials="trials_per_order",
+        _check_continuation, trials="trials_per_order"
     ),
-    CheckKind.SANDWICH: CheckSpec(_check_sandwich, {**_ORDERS, "fams": ("K1", "K2")}),
-    CheckKind.FAMILY_MONOTONE: CheckSpec(_check_family_monotone, _ORDERS),
-    CheckKind.HALF_BOUND: CheckSpec(_check_half_bound, _ORDERS),
-    CheckKind.SPANNING_GAP: CheckSpec(_check_spanning_gap, {"ns": (3, 4)}),
+    CheckKind.SANDWICH: CheckSpec(_check_sandwich),
+    CheckKind.FAMILY_MONOTONE: CheckSpec(_check_family_monotone),
+    CheckKind.HALF_BOUND: CheckSpec(_check_half_bound),
+    CheckKind.SPANNING_GAP: CheckSpec(_check_spanning_gap),
     CheckKind.FOREST_MONOTONE: CheckSpec(
-        _check_forest_monotone,
-        {
-            "tree_n_max": 9,
-            "pruefer_n_max": 6,
-            "forest_orders": (6, 7, 8, 9),
-            "forests_per_order": 100,
-            "seed": 0,
-        },
-        trials="forests_per_order",
+        _check_forest_monotone, trials="forests_per_order"
     ),
-    CheckKind.PATH_BOUNDS: CheckSpec(_check_path_bounds, _PATH_ORDERS),
-    CheckKind.PATH_EXACT: CheckSpec(_check_path_exact, _PATH_ORDERS),
-    CheckKind.STAR_ADDITION: CheckSpec(
-        _check_star_addition,
-        {"orders": (4, 5, 6, 7, 8), "per_order": 25, "star_sizes": (1, 2, 3), "seed": 0},
-        trials="per_order",
-    ),
-    CheckKind.FAMILY_VALUES: CheckSpec(_check_family_values, {}),
-    CheckKind.CONJECTURE_SWEEP: CheckSpec(
-        _check_conjecture_sweep, {"n_max": 6, "jobs": 1}
-    ),
+    CheckKind.PATH_BOUNDS: CheckSpec(_check_path_bounds),
+    CheckKind.PATH_EXACT: CheckSpec(_check_path_exact),
+    CheckKind.STAR_ADDITION: CheckSpec(_check_star_addition, trials="per_order"),
+    CheckKind.FAMILY_VALUES: CheckSpec(_check_family_values),
+    CheckKind.CONJECTURE_SWEEP: CheckSpec(_check_conjecture_sweep),
 }
 
 
 def run_check(kind: CheckKind | str, **params) -> CheckReport:
     """Run one registered check and wrap its findings in a CheckReport.
 
-    ``params`` override the defaults in ``CHECKS[kind]``, and the report
+    ``params`` override the runner's keyword defaults, and the report
     echoes the merged set. A param the check does not take, or a param set
     that leaves no instance to check, raises BadSpec.
     """
     kind = CheckKind(kind)
     spec = CHECKS[kind]
-    unknown = [key for key in params if key not in spec.defaults]
+    defaults = spec.defaults
+    unknown = [key for key in params if key not in defaults]
     if unknown:
-        accepted = ", ".join(spec.defaults) or "no params"
+        accepted = ", ".join(defaults) or "no params"
         raise BadSpec(
             f"check {kind.value} does not accept {', '.join(unknown)}; "
             f"it accepts {accepted}"
         )
-    used = {**spec.defaults, **params}
+    used = {**defaults, **params}
     t0 = time.perf_counter()
     rows, violations, extremal, metadata = spec.runner(**used)
     if not rows:
@@ -623,12 +617,13 @@ def run_check(kind: CheckKind | str, **params) -> CheckReport:
     )
 
 
-def conjecture_sweep(n_max: int, jobs: int = 1) -> CheckReport:
+def conjecture_sweep(n_max: int, **params) -> CheckReport:
     """Sweep D- and S-start values against ceil(3n/7) over every connected
     graph of order 3..n_max. This reports findings (violations would be
     counterexamples); it proves nothing beyond the orders it visits.
+    ``params`` (``jobs``) override the check's other defaults.
     """
-    return run_check(CheckKind.CONJECTURE_SWEEP, n_max=n_max, jobs=jobs)
+    return run_check(CheckKind.CONJECTURE_SWEEP, n_max=n_max, **params)
 
 def find_witness(rows: Iterable[dict], g: Graph) -> dict | None:
     """Locate the row whose graph is isomorphic to g (for witness asserts)."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import BadSpec, IllegalMove, PatternTooLarge
+from .errors import BadSpec, IllegalMove, IsolationGameError, PatternTooLarge
 from .families import make_family
 from .graph import Graph, as_mask, build_graph, component_of, iter_mask, mask_list
 from .graph import components  # noqa: F401  (perfbench wraps rules.components)
@@ -181,8 +181,13 @@ def close_marks(g: Graph, fam: ForbiddenFamily, marked: int) -> int:
     """Absorb every quiet component of the unmarked part into ``marked``.
 
     One pass suffices: removing a whole component leaves the remaining
-    components untouched, so no new quiet component can appear.
+    components untouched, so no new quiet component can appear. Marks
+    outside the graph raise, since no closure or move can reach them.
     """
+    outside = marked & ~g.full_mask
+    if outside:
+        bad = mask_list(outside) if marked > 0 else f"mask {marked}"
+        raise IsolationGameError(f"marks {bad} out of range for order {g.n}")
     return close_near(g, fam, marked, g.full_mask)
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
@@ -254,6 +255,18 @@ def test_unusable_flags_fail_loudly(tmp_path, capsys, flag, argv):
     assert "error" in err
     # the error names the flag by the param it sets
     assert flag[2:].replace("-", "_") in err
+
+
+def test_sweep_rejects_more_jobs_than_cpus(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started before jobs was checked")
+
+    monkeypatch.setattr(harness.multiprocessing, "Pool", no_pool)
+    too_many = str((os.cpu_count() or 1) + 1)
+    code, out, err = run_cli(capsys, "sweep", "--n-max", "3", "--jobs", too_many)
+    assert code == 1
+    assert out == ""
+    assert "jobs must be at most" in err
 
 
 def test_help_exits_zero(capsys):

@@ -123,8 +123,8 @@ def test_tree_classes_match_pruefer_dedup_oracle():
         assert {tree_code(t) for t in classes} == oracle_codes
 
 
-def test_tree_classes_frozen_counts_to_order_nine():
-    for n in range(1, 10):
+def test_tree_classes_frozen_counts_to_order_twelve():
+    for n in range(1, 13):
         assert len(tree_classes(n)) == TREE_COUNTS[n]
 
 

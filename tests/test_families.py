@@ -13,11 +13,11 @@ from isogame import (
     h_graph,
     iter_family,
     make_family,
-    parse_family_spec,
     path_graph,
     star_graph,
     vertex_name_to_index,
 )
+from isogame.families import _INT_TAGS
 from isogame.graph import build_graph, mask_of
 
 
@@ -96,9 +96,7 @@ def test_g_h_orders_and_base_identification():
 
 
 def test_spec_language_round_trip():
-    spec = parse_family_spec("ftriangles:3:2")
-    assert str(spec) == "ftriangles:3:2"
-    assert make_family(spec).num_edges == 10
+    assert make_family("ftriangles:3:2").num_edges == 10
     assert make_family("cycle:6").n == 6
     assert make_family("gstar:complete:2").n == 14
     assert make_family("custom:4:0-1,1-2,2-3").edges() == path_graph(4).edges()
@@ -107,7 +105,7 @@ def test_spec_language_round_trip():
 
 def test_spec_language_errors():
     with pytest.raises(BadSpec):
-        parse_family_spec("blob:3")
+        make_family("blob:3")
     with pytest.raises(BadSpec):
         make_family("path:x")
     with pytest.raises(BadSpec):
@@ -117,8 +115,11 @@ def test_spec_language_errors():
     with pytest.raises(BadSpec):
         make_family("custom:3:0-9")
     # a field the tag does not take is an error, never silently dropped
-    for spec in ("path:6:99", "hgraph:5", "cycle:6:x", "gh:1:2", "ftriangles:3:2:1",
-                 "custom:3:0-1:junk", "gstar:complete:1:9", "alltrees:4:1"):
+    one_too_many = [":".join([tag, *["1"] * (len(names) + 1)])
+                     for tag, (_, names) in _INT_TAGS.items()]
+    for spec in one_too_many + ["path:6:99", "hgraph:5", "cycle:6:x", "gh:1:2",
+                                "ftriangles:3:2:1", "custom:3:0-1:junk",
+                                "gstar:complete:1:9", "alltrees:4:1"]:
         with pytest.raises(BadSpec, match="family spec"):
             list(iter_family(spec))
 
@@ -134,6 +135,9 @@ def test_vertex_names():
     assert vertex_name_to_index("v4") == 3
     assert vertex_name_to_index("7") == 7
     assert vertex_name_to_index(" v12 ") == 11
+    for name in ("v0", "-1"):
+        with pytest.raises(BadSpec, match="out of range"):
+            vertex_name_to_index(name)
 
 
 def test_h_graph_matches_drawing_edge_list():

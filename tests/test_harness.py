@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import json
+import os
 
 import pytest
 
@@ -40,6 +42,10 @@ def test_every_check_kind_is_registered():
     assert set(CHECKS) == set(CheckKind) == set(SMALL_PARAMS)
     for spec in CHECKS.values():
         assert spec.trials is None or spec.trials in spec.defaults
+        # every param the runner takes has a default, so run_check can
+        # call it with no params at all
+        params = inspect.signature(spec.runner).parameters.values()
+        assert all(p.default is not p.empty for p in params)
 
 
 @pytest.mark.parametrize("kind", list(CheckKind), ids=lambda k: k.value)
@@ -57,6 +63,15 @@ def test_run_check_rejects_unknown_params_and_empty_sets():
         run_check(CheckKind.SPANNING_GAP, ns=())
     with pytest.raises(BadSpec, match="jobs"):
         conjecture_sweep(3, jobs=0)
+
+
+def test_sweep_rejects_more_jobs_than_cpus(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started before jobs was checked")
+
+    monkeypatch.setattr(harness.multiprocessing, "Pool", no_pool)
+    with pytest.raises(BadSpec, match="jobs"):
+        conjecture_sweep(3, jobs=(os.cpu_count() or 1) + 1)
 
 
 def test_diff_at_most_one_small():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from isogame import (
+    IsolationGameError,
     MarkState,
     Mover,
     StateSpaceBudgetExceeded,
@@ -331,3 +332,24 @@ def test_partially_marked_solves():
     base = solve(g, K2, Mover.DOMINATOR).value
     marked = solve(g, K2, Mover.DOMINATOR, [3]).value
     assert marked <= base
+
+
+def test_marks_outside_the_graph_fail_loudly():
+    # every root closure goes through close_marks, which rejects marks the
+    # graph does not have instead of solving a state that cannot exist
+    g = path_graph(3)
+    state = MarkState(path_graph(6), 1 << 5)
+    calls = [
+        lambda: solve(g, K2, Mover.DOMINATOR, [5]),
+        lambda: solve_both(g, K2, [5]),
+        lambda: optimal_moves(g, K2, state, Mover.DOMINATOR),
+        lambda: naive_game_value(g, K2, state, Mover.DOMINATOR),
+        lambda: naive_best_moves(g, K2, state, Mover.STALLER),
+        lambda: initial_closure(g, K2, [5]),
+        lambda: close_marks(g, K2, 1 << 5),
+    ]
+    for call in calls:
+        with pytest.raises(IsolationGameError, match=r"marks \[5\] out of range for order 3"):
+            call()
+    with pytest.raises(IsolationGameError, match="out of range"):
+        close_marks(g, K2, -1)
