@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import BadEdge, MalformedGraph6, OrderTooLarge
+from .errors import BadEdge, IsolationGameError, MalformedGraph6, OrderTooLarge
 
 MAX_ORDER = 63
 
@@ -25,7 +25,10 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 def iter_mask(mask: int) -> Iterator[int]:
-    """Yield the vertices of a mask in ascending order."""
+    """Yield the vertices of a mask in ascending order. A negative int has
+    infinitely many set bits, so it raises instead of never ending."""
+    if mask < 0:
+        raise IsolationGameError(f"negative vertex mask {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -39,6 +42,8 @@ def mask_list(mask: int) -> list[int]:
 def as_mask(vertices: int | Iterable[int]) -> int:
     """Accept either a ready-made mask or an iterable of vertex indices."""
     if isinstance(vertices, int):
+        if vertices < 0:
+            raise IsolationGameError(f"negative vertex mask {vertices}")
         return vertices
     return mask_of(vertices)
 
@@ -140,11 +145,14 @@ def components(g: Graph, active: int | Iterable[int]) -> list[int]:
 def component_of(g: Graph, seed: int, active: int) -> int:
     """The component of g[active] that holds ``seed``, a one-vertex mask
     inside ``active``, grown by breadth-first search."""
+    adj = g.adj
     comp = frontier = seed
     while frontier:
         nxt = 0
-        for v in iter_mask(frontier):
-            nxt |= g.adj[v]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         nxt &= active & ~comp
         comp |= nxt
         frontier = nxt

@@ -11,6 +11,10 @@ components that meet ``N[N[x]]``: any other component has no neighbor in
 ``N[x]``, so it was already a live component before the move. The search
 therefore re-checks only those (:func:`close_near`); :func:`close_marks`
 is the same body run over the whole graph, for marks of unknown history.
+Whether a component is quiet depends only on the graph, the family and
+the component's vertex mask, so :func:`close_near` reads and fills a
+``quiet`` dict keyed by that mask: the solver keeps one per solve, and
+subgraph search runs at most once per distinct component.
 """
 
 from __future__ import annotations
@@ -188,15 +192,19 @@ def close_marks(g: Graph, fam: ForbiddenFamily, marked: int) -> int:
     if outside:
         bad = mask_list(outside) if marked > 0 else f"mask {marked}"
         raise IsolationGameError(f"marks {bad} out of range for order {g.n}")
-    return close_near(g, fam, marked, g.full_mask)
+    return close_near(g, fam, marked, g.full_mask, {})
 
 
-def close_near(g: Graph, fam: ForbiddenFamily, marked: int, near: int) -> int:
+def close_near(
+    g: Graph, fam: ForbiddenFamily, marked: int, near: int, quiet: dict[int, bool]
+) -> int:
     """Absorb the quiet components of the unmarked part that meet ``near``.
 
     Equals :func:`close_marks` when every unmarked component that misses
     ``near`` is live, e.g. after ``marked = closed | N[x]`` for a closed
-    set and ``near = N[N[x]]``.
+    set and ``near = N[N[x]]``. ``quiet`` maps a component mask to its
+    :func:`is_forbidden_component` verdict; it is read and filled in
+    search mode, and must only be shared by calls on one ``g`` and ``fam``.
     """
     mode = fam.mode
     if mode == _MODE_EDGE:
@@ -222,7 +230,10 @@ def close_near(g: Graph, fam: ForbiddenFamily, marked: int, near: int) -> int:
     seeds = near & active
     while seeds:
         comp = component_of(g, seeds & -seeds, active)
-        if is_forbidden_component(g, comp, fam):
+        verdict = quiet.get(comp)
+        if verdict is None:
+            verdict = quiet[comp] = is_forbidden_component(g, comp, fam)
+        if verdict:
             out |= comp
         seeds &= ~comp
     return out

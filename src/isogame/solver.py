@@ -14,7 +14,10 @@ from 0. Optimal moves and principal lines are read with one test per
 child, lowest vertex first, so ties break toward the lowest vertex index
 and lines are reproducible. The root's marks are closed in full; each
 child is closed only around its move (``rules.close_near``), which is
-exact because its parent was closed.
+exact because its parent was closed. Each solve also keeps one quiet memo
+beside its move table: a map from component mask to whether that
+component avoids every pattern, so in subgraph-search mode each distinct
+component is searched once per solve, however many states it appears in.
 """
 
 from __future__ import annotations
@@ -59,10 +62,12 @@ def _search(
 ) -> tuple[int, int, Callable[[int, bool, int], Iterator[tuple[int, int]]]]:
     """One solve's context: close ``marks``, count the value of that state
     up from 0, and return ``(closed marks, value, optimal_children)``. Both
-    closures share one move table and the bounds ``table``."""
+    closures share one move table, one quiet memo and the bounds ``table``."""
     full = g.full_mask
     # per vertex x: what playing it marks, N[x], and where closure can act, N[N[x]]
     moves = [(hit, closed_neighborhood(g, hit)) for hit in g.closed]
+    # component mask -> quiet verdict; exact because g and fam are fixed here
+    quiet: dict[int, bool] = {}
     # every move marks a new vertex, so a live state lasts 1..n moves
     default = (1, g.n)
 
@@ -82,7 +87,7 @@ def _search(
         unmarked = full & ~marked
         for hit, near in moves:
             if hit & unmarked and at_most(
-                close_near(g, fam, marked | hit, near), not dom_to_move, k - 1
+                close_near(g, fam, marked | hit, near, quiet), not dom_to_move, k - 1
             ) is dom_to_move:
                 passed = dom_to_move
                 break
@@ -100,7 +105,7 @@ def _search(
         child tells whether it attains the value."""
         for x, (hit, near) in enumerate(moves):
             if hit & ~marked:
-                child = close_near(g, fam, marked | hit, near)
+                child = close_near(g, fam, marked | hit, near, quiet)
                 if (
                     at_most(child, False, value - 1)
                     if dom_to_move

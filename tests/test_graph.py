@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 
 from isogame import (
     BadEdge,
+    IsolationGameError,
     OrderTooLarge,
+    as_mask,
     build_graph,
     closed_neighborhood,
     complete_graph,
@@ -23,6 +25,16 @@ def test_mask_round_trip():
     assert mask_of([0, 3, 5]) == 0b101001
     assert mask_list(0b101001) == [0, 3, 5]
     assert list(iter_mask(0)) == []
+
+
+def test_negative_masks_raise():
+    # a negative int has infinitely many set bits; walking it never ends
+    with pytest.raises(IsolationGameError, match="negative vertex mask -1"):
+        mask_list(-1)
+    with pytest.raises(IsolationGameError, match="negative vertex mask -5"):
+        list(iter_mask(-5))
+    with pytest.raises(IsolationGameError, match="negative vertex mask -1"):
+        as_mask(-1)
 
 
 def test_build_graph_is_p4():

@@ -237,17 +237,27 @@ NEAR_FAMS = ALL_FAMS + (parse_forbidden("custom:3:0-1,1-2,0-2"),)
 @given(graphs_with_masks(max_n=7))
 def test_near_closure_after_a_move_equals_full_closure(gm):
     # the search closes each child only around N[N[x]] of its move; from a
-    # closed set that must absorb exactly what full closure absorbs
+    # closed set that must absorb exactly what full closure absorbs. One
+    # quiet memo serves every move from every state reachable from the
+    # drawn marks, as in one solve, so a wrong or stale verdict would show
     g, mask = gm
     for fam in NEAR_FAMS:
-        m = close_marks(g, fam, mask)
-        for x in range(g.n):
-            if not g.closed[x] & ~m:
-                continue
-            hit = g.closed[x]
-            assert close_near(
-                g, fam, m | hit, closed_neighborhood(g, hit)
-            ) == close_marks(g, fam, m | hit)
+        quiet = {}
+        seen = {close_marks(g, fam, mask)}
+        todo = list(seen)
+        while todo:
+            m = todo.pop()
+            for x in range(g.n):
+                hit = g.closed[x]
+                if not hit & ~m:
+                    continue
+                child = close_near(g, fam, m | hit, closed_neighborhood(g, hit), quiet)
+                assert child == close_marks(g, fam, m | hit)
+                if child not in seen:
+                    seen.add(child)
+                    todo.append(child)
+        for comp, verdict in quiet.items():
+            assert verdict == is_forbidden_component(g, comp, fam)
 
 
 def test_fast_absorption_paths_match_generic_search():

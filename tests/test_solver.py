@@ -23,6 +23,7 @@ from isogame import (
     naive_best_moves,
     naive_game_value,
     optimal_moves,
+    parse_forbidden,
     path_graph,
     result_record,
     single_edge_family,
@@ -353,3 +354,75 @@ def test_marks_outside_the_graph_fail_loudly():
             call()
     with pytest.raises(IsolationGameError, match="out of range"):
         close_marks(g, K2, -1)
+
+
+def test_negative_initial_marks_fail_loudly():
+    g = cycle_graph(6)
+    result = solve(g, K2, Mover.DOMINATOR)
+    with pytest.raises(IsolationGameError, match="negative vertex mask -1"):
+        result_record(g, K2, Mover.DOMINATOR, -1, result)
+    with pytest.raises(IsolationGameError, match="negative vertex mask -1"):
+        solve(g, K2, Mover.DOMINATOR, -1)
+
+
+def test_quiet_memo_searches_each_component_once_per_solve(monkeypatch):
+    # a component's quiet verdict depends only on the graph, the family
+    # and its vertex mask, so one solve runs subgraph search at most once
+    # per distinct component; edge mode never searches at all
+    from isogame import rules, solver
+
+    searched = []
+    is_quiet = rules.is_forbidden_component
+    solve_one = solver.solve
+
+    def counting_is_quiet(g, comp, fam):
+        searched[-1].append(comp)
+        return is_quiet(g, comp, fam)
+
+    def one_solve(*args, **kwargs):
+        searched.append([])
+        return solve_one(*args, **kwargs)
+
+    monkeypatch.setattr(rules, "is_forbidden_component", counting_is_quiet)
+    monkeypatch.setattr(solver, "solve", one_solve)
+    g = make_family("cycle:20")
+    d, s = solve_both(g, P3)
+    assert (d.value, s.value) == (7, 6)
+    assert len(searched) == 2
+    for comps in searched:
+        assert comps
+        assert len(comps) == len(set(comps))
+    searched.clear()
+    solve_both(g, K2)
+    assert searched == [[], []]
+
+
+K3_P4 = parse_forbidden("custom:3:0-1,1-2,0-2;custom:4:0-1,1-2,2-3")
+
+
+def test_two_pattern_search_family_matches_naive_oracle():
+    # search mode beyond P3: a component is quiet only when it holds
+    # neither a triangle nor a P4. Each graph is solved under P3 first,
+    # so a quiet memo that outlived its family would show here
+    assert K3_P4.mode == "search"
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            solve_both(g, P3)
+            for mover, result in zip(
+                (Mover.DOMINATOR, Mover.STALLER), solve_both(g, K3_P4)
+            ):
+                want = naive_game_value(g, K3_P4, MarkState(g, 0), mover)
+                assert result.value == want, (encode_graph6(g), mover)
+
+
+@pytest.mark.parametrize("spec", ["path:9", "cycle:10", "cycle:12", "gstar:complete:2"])
+def test_search_families_solved_in_turn_match_fresh_solves(spec):
+    # the two families give different results here, so a verdict carried
+    # over from the other family would change a value or a line
+    fresh_p3 = solve_both(make_family(spec), P3)
+    fresh_k3_p4 = solve_both(make_family(spec), K3_P4)
+    assert fresh_p3 != fresh_k3_p4
+    g = make_family(spec)
+    assert solve_both(g, P3) == fresh_p3
+    assert solve_both(g, K3_P4) == fresh_k3_p4
+    assert solve_both(g, P3) == fresh_p3
