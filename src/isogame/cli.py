@@ -55,7 +55,6 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--n-max", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--trials", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=None)
     p_verify.add_argument("--format", dest="fmt",
                           choices=("plain", "json", "csv"), default="plain")
     p_verify.add_argument("--output", default=None)
@@ -64,7 +63,8 @@ def _build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="conjecture sweep up to an order")
     p_sweep.add_argument("--n-max", type=int, required=True)
-    p_sweep.add_argument("--jobs", type=int, default=None)
+    # the sweep is serial; --jobs takes only 1, as perfbench's SWEEP_ARGV passes it
+    p_sweep.add_argument("--jobs", type=int, choices=(1,), default=1)
     p_sweep.add_argument("--format", dest="fmt",
                          choices=("plain", "json", "csv"), default="plain")
     p_sweep.add_argument("--output", default=None)
@@ -162,7 +162,6 @@ def _run_verify(args: argparse.Namespace) -> int:
         "n_min": args.n_min,
         "n_max": args.n_max,
         "seed": args.seed,
-        "jobs": args.jobs,
         CHECKS[kind].trials or "trials": args.trials,
     }
     report = run_check(kind, **{k: v for k, v in given.items() if v is not None})
@@ -170,8 +169,7 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    given = {} if args.jobs is None else {"jobs": args.jobs}
-    report = conjecture_sweep(args.n_max, **given)
+    report = conjecture_sweep(args.n_max)
     return _emit_report(report, args)
 
 

@@ -22,10 +22,13 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .errors import OrderTooLarge
+from .errors import BudgetExceeded, OrderTooLarge
 from .graph import Graph, iter_mask, mask_list
 
 MAX_ENUM_ORDER = 8
+
+#: Labeled trees are listed up to this order: n^(n-2) of them, 262,144 at 8.
+MAX_PRUEFER_ORDER = 8
 
 #: Connected graph counts by order, a frozen cross-check for the catalog.
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -191,12 +194,15 @@ def tree_from_pruefer(n: int, seq: tuple[int, ...]) -> Graph:
 
 def all_trees(n: int) -> Iterator[Graph]:
     """Every labeled tree on n vertices via Pruefer sequences (n^(n-2) of
-    them, not deduplicated by isomorphism)."""
+    them, not deduplicated by isomorphism). The order is checked at the
+    call, before any tree is built: above 8 it raises BudgetExceeded."""
+    if n > MAX_PRUEFER_ORDER:
+        raise BudgetExceeded(
+            f"labeled trees capped at order {MAX_PRUEFER_ORDER}, got {n}"
+        )
     if n <= 2:
-        yield tree_from_pruefer(n, ())
-        return
-    for seq in product(range(n), repeat=n - 2):
-        yield tree_from_pruefer(n, seq)
+        return iter((tree_from_pruefer(n, ()),))
+    return (tree_from_pruefer(n, seq) for seq in product(range(n), repeat=n - 2))
 
 
 def _tree_centers(g: Graph) -> list[int]:

@@ -48,6 +48,16 @@ def as_mask(vertices: int | Iterable[int]) -> int:
     return mask_of(vertices)
 
 
+def require_inside(g: Graph, mask: int, what: str) -> int:
+    """Return ``mask`` when it is a vertex set of ``g``; raise, naming the
+    vertices outside it, when it is not (a negative int never is)."""
+    outside = mask & ~g.full_mask
+    if outside:
+        bad = mask_list(outside) if mask > 0 else f"mask {mask}"
+        raise IsolationGameError(f"{what} {bad} out of range for order {g.n}")
+    return mask
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected graph on vertices ``0..n-1``.
@@ -120,7 +130,7 @@ def disjoint_union(g: Graph, h: Graph, label: str | None = None) -> Graph:
 
 def closed_neighborhood(g: Graph, s: int | Iterable[int]) -> int:
     """N[s]: s together with every neighbor of a member of s."""
-    s = as_mask(s)
+    s = require_inside(g, as_mask(s), "vertices")
     out = s
     for v in iter_mask(s):
         out |= g.closed[v]
@@ -132,7 +142,7 @@ def components(g: Graph, active: int | Iterable[int]) -> list[int]:
 
     Ordered by smallest member so downstream reports are reproducible.
     """
-    active = as_mask(active)
+    active = require_inside(g, as_mask(active), "vertices")
     out = []
     remaining = active
     while remaining:

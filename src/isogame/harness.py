@@ -19,9 +19,8 @@ Each check kind binds one property:
 The catalog checks (diff-at-most-one, sandwich, half-bound and
 conjecture-sweep) are rows over one solved-catalog pass: ``_solved_catalog``
 walks the connected-graph catalog and solves both starts once per graph,
-serially or in a process pool, and each check keeps its own columns and
-predicate. family-monotone solves only Dominator starts, so it walks the
-catalog itself.
+and each check keeps its own columns and predicate. family-monotone solves
+only Dominator starts, so it walks the catalog itself.
 
 Reports are deterministic for a fixed seed; violations carry enough data
 (graph6, marks, seed) to replay any finding with one solve call.
@@ -32,8 +31,6 @@ from __future__ import annotations
 import enum
 import inspect
 import json
-import multiprocessing
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -128,7 +125,7 @@ class CheckReport:
 
 def _connected_range(n_min: int, n_max: int) -> Iterator[Graph]:
     """The connected catalog of orders n_min..n_max, its range checked at
-    the call: before any graph is built, solved or sent to a pool."""
+    the call: before any graph is built or solved."""
     if n_min < 1:
         raise BadSpec(f"n_min must be at least 1, got {n_min}")
     if n_max > MAX_ENUM_ORDER:
@@ -136,25 +133,14 @@ def _connected_range(n_min: int, n_max: int) -> Iterator[Graph]:
     return chain.from_iterable(map(enumerate_connected, range(n_min, n_max + 1)))
 
 
-def _solve_values(job: tuple[Graph, ForbiddenFamily]) -> tuple[Graph, int, int]:
-    g, fam = job
-    d, s = solve_both(g, fam)
-    return g, d.value, s.value
-
-
 def _solved_catalog(
-    n_min: int, n_max: int, fam: ForbiddenFamily, jobs: int = 1
+    n_min: int, n_max: int, fam: ForbiddenFamily
 ) -> Iterator[tuple[Graph, int, int]]:
     """Every connected graph of order n_min..n_max with its D- and S-start
-    values under fam, in catalog order. Serially each graph is solved as it
-    is yielded; with jobs > 1 a process pool solves ahead of the consumer.
-    """
-    work = ((g, fam) for g in _connected_range(n_min, n_max))
-    if jobs == 1:
-        yield from map(_solve_values, work)
-        return
-    with multiprocessing.Pool(jobs) as pool:
-        yield from pool.imap(_solve_values, work, chunksize=256)
+    values under fam, in catalog order, each solved as it is yielded."""
+    for g in _connected_range(n_min, n_max):
+        d, s = solve_both(g, fam)
+        yield g, d.value, s.value
 
 
 def _head(g: Graph, tag: str) -> dict:
@@ -328,9 +314,10 @@ def _check_forest_monotone(
         if d.value > s.value:
             violations.append({**row, "observed": (d.value, s.value), "expected": "d<=s"})
 
-    for n in range(1, pruefer_n_max + 1):
-        for tree in all_trees(n):
-            check_state(tree, 0, "pruefer")
+    # every order is checked against the budget before the first solve
+    labeled = [all_trees(n) for n in range(1, pruefer_n_max + 1)]
+    for tree in chain.from_iterable(labeled):
+        check_state(tree, 0, "pruefer")
     for n in range(pruefer_n_max + 1, tree_n_max + 1):
         for tree in tree_classes(n):
             check_state(tree, 0, "tree-class")
@@ -487,18 +474,12 @@ def _check_family_values() -> tuple:
     return rows, violations, extremal, meta
 
 
-def _check_conjecture_sweep(n_max: int = 6, jobs: int = 1) -> tuple:
-    # checked here, before any pool starts
-    if jobs < 1:
-        raise BadSpec(f"jobs must be at least 1, got {jobs}")
-    cpus = os.cpu_count() or 1
-    if jobs > cpus:
-        raise BadSpec(f"jobs must be at most the CPU count {cpus}, got {jobs}")
+def _check_conjecture_sweep(n_max: int = 6) -> tuple:
     fam = single_edge_family()
     rows, violations, witnesses = [], [], []
     best_ratio = 0.0
     best_row: dict | None = None
-    for g, d, s in _solved_catalog(3, n_max, fam, jobs):
+    for g, d, s in _solved_catalog(3, n_max, fam):
         bound = ceil_three_sevenths(g.n)
         row = {
             **_head(g, fam.tag),
@@ -617,13 +598,13 @@ def run_check(kind: CheckKind | str, **params) -> CheckReport:
     )
 
 
-def conjecture_sweep(n_max: int, **params) -> CheckReport:
+def conjecture_sweep(n_max: int) -> CheckReport:
     """Sweep D- and S-start values against ceil(3n/7) over every connected
     graph of order 3..n_max. This reports findings (violations would be
     counterexamples); it proves nothing beyond the orders it visits.
-    ``params`` (``jobs``) override the check's other defaults.
     """
-    return run_check(CheckKind.CONJECTURE_SWEEP, n_max=n_max, **params)
+    return run_check(CheckKind.CONJECTURE_SWEEP, n_max=n_max)
+
 
 def find_witness(rows: Iterable[dict], g: Graph) -> dict | None:
     """Locate the row whose graph is isomorphic to g (for witness asserts)."""

@@ -23,9 +23,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import BadSpec, IllegalMove, IsolationGameError, PatternTooLarge
+from .errors import BadSpec, IllegalMove, PatternTooLarge
 from .families import make_family
-from .graph import Graph, as_mask, build_graph, component_of, iter_mask, mask_list
+from .graph import (
+    Graph, as_mask, build_graph, component_of, iter_mask, mask_list, require_inside
+)
 from .graph import components  # noqa: F401  (perfbench wraps rules.components)
 
 MAX_PATTERN_ORDER = 6
@@ -106,6 +108,7 @@ def contains_pattern(g: Graph, within: int, pattern: Graph) -> bool:
     induced) subgraph. The order-0 pattern is contained in everything."""
     if pattern.n > MAX_PATTERN_ORDER:
         raise PatternTooLarge(f"pattern of order {pattern.n} exceeds {MAX_PATTERN_ORDER}")
+    require_inside(g, within, "vertices")
     k = pattern.n
     if k == 0:
         return True
@@ -178,6 +181,7 @@ def _matching_order(pattern: Graph) -> list[int]:
 def is_forbidden_component(g: Graph, comp: int, fam: ForbiddenFamily) -> bool:
     """True when the component contains no pattern of the family, i.e. it is
     quiet and will be absorbed. Vacuously true for the empty family."""
+    require_inside(g, comp, "vertices")
     return not any(contains_pattern(g, comp, p) for p in fam.patterns)
 
 
@@ -188,10 +192,7 @@ def close_marks(g: Graph, fam: ForbiddenFamily, marked: int) -> int:
     components untouched, so no new quiet component can appear. Marks
     outside the graph raise, since no closure or move can reach them.
     """
-    outside = marked & ~g.full_mask
-    if outside:
-        bad = mask_list(outside) if marked > 0 else f"mask {marked}"
-        raise IsolationGameError(f"marks {bad} out of range for order {g.n}")
+    require_inside(g, marked, "marks")
     return close_near(g, fam, marked, g.full_mask, {})
 
 
@@ -278,7 +279,10 @@ def playable(state: MarkState) -> int:
 
 
 def is_playable(state: MarkState, x: int) -> bool:
-    return bool(state.graph.closed[x] & state.unmarked)
+    """True when ``x`` is a vertex of the graph with an unmarked closed
+    neighbor; False for any ``x`` outside ``0..n-1``."""
+    g = state.graph
+    return 0 <= x < g.n and bool(g.closed[x] & state.unmarked)
 
 
 def updated_marks(g: Graph, fam: ForbiddenFamily, marked: int, x: int) -> int:
@@ -288,7 +292,11 @@ def updated_marks(g: Graph, fam: ForbiddenFamily, marked: int, x: int) -> int:
 
 
 def apply_move(state: MarkState, fam: ForbiddenFamily, x: int) -> MarkState:
-    """Play ``x``; raises IllegalMove when its neighborhood is fully marked."""
+    """Play ``x``; raises IllegalMove when ``x`` is not a vertex of the
+    graph or its neighborhood is fully marked."""
+    n = state.graph.n
+    if not 0 <= x < n:
+        raise IllegalMove(f"vertex {x} out of range for order {n}")
     if not is_playable(state, x):
         raise IllegalMove(f"vertex {x} has no unmarked closed neighbor")
     return MarkState(state.graph, updated_marks(state.graph, fam, state.marked, x))

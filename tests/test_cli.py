@@ -2,12 +2,20 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import isogame.harness as harness
-from isogame import GameResult, encode_graph6, path_graph
+from isogame import CheckKind, GameResult, encode_graph6, path_graph
 from isogame.cli import main
+from isogame.harness import CHECKS
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+README = ROOT / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +171,13 @@ def test_family_alltrees_emits_all_lines(capsys):
     assert len(out.splitlines()) == 16
 
 
+def test_family_alltrees_above_the_cap_exits_one(capsys):
+    code, out, err = run_cli(capsys, "family", "--spec", "alltrees:12")
+    assert code == 1
+    assert out == ""
+    assert "capped" in err
+
+
 def test_family_bad_spec_exits_one(capsys):
     code, _, err = run_cli(capsys, "family", "--spec", "blob:1")
     assert code == 1
@@ -210,7 +225,7 @@ def test_output_file_and_memo_cap_flag(tmp_path, capsys):
         # a flag the chosen check does not take
         ("--trials", ["verify", "--check", "sandwich", "--trials", "5"]),
         ("--n-min", ["verify", "--check", "forest-monotone", "--n-min", "3"]),
-        ("--n-max", ["verify", "--check", "family-values", "--n-max", "3", "--jobs", "4"]),
+        ("--n-max", ["verify", "--check", "family-values", "--n-max", "3"]),
         ("--jobs", ["verify", "--check", "family-values", "--n-max", "3", "--jobs", "4"]),
         ("--n-max", ["verify", "--check", "spanning-gap", "--n-max", "9"]),
         # an empty instance set
@@ -219,7 +234,7 @@ def test_output_file_and_memo_cap_flag(tmp_path, capsys):
         # an order range outside the connected catalog
         ("--n-max", ["verify", "--check", "half-bound", "--n-max", "9"]),
         ("--n-min", ["verify", "--check", "sandwich", "--n-min", "0"]),
-        # a worker count below one (rejected before any pool starts)
+        # a flag that is gone (verify) or takes only 1 (sweep)
         ("--jobs", ["sweep", "--n-max", "3", "--jobs", "-1"]),
         ("--jobs", ["verify", "--check", "conjecture-sweep", "--n-max", "3", "--jobs", "-1"]),
         # no instance to solve ("EMPTY" stands for an empty file)
@@ -257,16 +272,58 @@ def test_unusable_flags_fail_loudly(tmp_path, capsys, flag, argv):
     assert flag[2:].replace("-", "_") in err
 
 
-def test_sweep_rejects_more_jobs_than_cpus(monkeypatch, capsys):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool started before jobs was checked")
-
-    monkeypatch.setattr(harness.multiprocessing, "Pool", no_pool)
-    too_many = str((os.cpu_count() or 1) + 1)
-    code, out, err = run_cli(capsys, "sweep", "--n-max", "3", "--jobs", too_many)
+def test_sweep_jobs_accepts_only_one(capsys):
+    # the sweep runs in one process; --jobs 1 is accepted and changes nothing
+    argv = ("sweep", "--n-max", "5", "--format", "csv")
+    code, plain, _ = run_cli(capsys, *argv)
+    code_one, one, _ = run_cli(capsys, *argv, "--jobs", "1")
+    assert code == code_one == 0
+    assert one == plain
+    code, out, err = run_cli(capsys, "sweep", "--n-max", "5", "--jobs", "2")
     assert code == 1
     assert out == ""
-    assert "jobs must be at most" in err
+    assert "--jobs" in err
+
+
+def test_import_does_not_load_multiprocessing():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    probe = "import sys, isogame; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def _readme_flag_table() -> dict[str, dict[str, str]]:
+    """The README's verify-flag table, keyed by check then column header."""
+    lines = README.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| check | `--n-min`"))
+    header = [cell.strip() for cell in lines[start].strip("|").split("|")]
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        table[cells[0].strip("`")] = dict(zip(header[1:], cells[1:]))
+    return table
+
+
+def test_readme_flag_table_matches_the_registry():
+    table = _readme_flag_table()
+    assert set(table) == {kind.value for kind in CheckKind}
+    for kind in CheckKind:
+        row = table[kind.value]
+        assert set(row) == {"`--n-min`", "`--n-max`", "`--seed`", "`--trials` sets"}
+        spec = CHECKS[kind]
+        for flag in ("n_min", "n_max", "seed"):
+            cell = row[f"`--{flag.replace('_', '-')}`"]
+            assert cell == ("yes" if flag in spec.defaults else ""), (kind.value, flag)
+        trials = row["`--trials` sets"]
+        assert trials == (f"`{spec.trials}`" if spec.trials else ""), kind.value
+        if spec.trials:
+            assert spec.trials in spec.defaults
 
 
 def test_help_exits_zero(capsys):

@@ -11,6 +11,7 @@ from random import Random
 import pytest
 
 from isogame import (
+    BudgetExceeded,
     OrderTooLarge,
     all_trees,
     are_isomorphic,
@@ -21,7 +22,9 @@ from isogame import (
     path_graph,
     tree_classes,
 )
-from isogame.enumeration import CONNECTED_COUNTS, TREE_COUNTS, tree_code
+from isogame.enumeration import (
+    CONNECTED_COUNTS, MAX_PRUEFER_ORDER, TREE_COUNTS, tree_code
+)
 from isogame.graph import Graph
 
 
@@ -113,6 +116,12 @@ def test_all_trees_counts_and_shape():
         for t in trees[:50]:
             assert t.num_edges == n - 1
             assert is_connected(t)
+
+
+def test_all_trees_is_capped_at_the_call():
+    # raised by the call itself, not by the first next()
+    with pytest.raises(BudgetExceeded, match="capped at order 8"):
+        all_trees(MAX_PRUEFER_ORDER + 1)
 
 
 def test_tree_classes_match_pruefer_dedup_oracle():

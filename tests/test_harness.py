@@ -1,7 +1,6 @@
 import hashlib
 import inspect
 import json
-import os
 
 import pytest
 
@@ -61,17 +60,17 @@ def test_run_check_rejects_unknown_params_and_empty_sets():
         run_check(CheckKind.FAMILY_VALUES, trials=1)
     with pytest.raises(BadSpec, match="no instances"):
         run_check(CheckKind.SPANNING_GAP, ns=())
-    with pytest.raises(BadSpec, match="jobs"):
-        conjecture_sweep(3, jobs=0)
+    with pytest.raises(BadSpec, match="does not accept jobs"):
+        run_check("conjecture-sweep", jobs=1)
 
 
-def test_sweep_rejects_more_jobs_than_cpus(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool started before jobs was checked")
+def test_forest_monotone_rejects_large_pruefer_orders_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a tree was solved before the order was checked")
 
-    monkeypatch.setattr(harness.multiprocessing, "Pool", no_pool)
-    with pytest.raises(BadSpec, match="jobs"):
-        conjecture_sweep(3, jobs=(os.cpu_count() or 1) + 1)
+    monkeypatch.setattr(harness, "solve_both", no_solve)
+    with pytest.raises(BudgetExceeded, match="capped"):
+        run_check("forest-monotone", pruefer_n_max=12)
 
 
 def test_diff_at_most_one_small():
@@ -240,12 +239,6 @@ def test_report_summary_shapes():
     assert "wall_time_s" not in stable and "generated_at" not in stable
 
 
-def test_sweep_jobs_gives_identical_rows():
-    serial = conjecture_sweep(5)
-    parallel = conjecture_sweep(5, jobs=2)
-    assert serial.rows == parallel.rows
-
-
 # sha256 of (CSV rows, reproducible JSON) for every check at its default
 # params; a refactor of the checks must leave both artifacts byte-identical,
 # and a new or changed param shows up here because params are in the JSON
@@ -296,7 +289,7 @@ PINNED_DIGESTS = {
     ),
     "conjecture-sweep": (
         "5025384d37008f5c13feb6b35cbe514b8c7bbbc0d94bcf9cb484530363c7039e",
-        "b6ed02cac9bbb9ad67aed0a70fac7f20a72dfa1c968e6f3990964cf545a703be",
+        "bb2cd74ced357f58e72b2c5cc6996ad754e077bc7fedba05e001cff0a4b11659",
     ),
 }
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from isogame import (
+    IllegalMove,
     IsolationGameError,
     MarkState,
     Mover,
@@ -11,11 +12,16 @@ from isogame import (
     TerminalState,
     apply_move,
     close_marks,
+    closed_neighborhood,
     complete_graph,
+    components,
+    contains_pattern,
     cycle_graph,
     encode_graph6,
     enumerate_connected,
     initial_closure,
+    is_forbidden_component,
+    is_isolating,
     is_playable,
     make_family,
     mask_list,
@@ -354,6 +360,33 @@ def test_marks_outside_the_graph_fail_loudly():
             call()
     with pytest.raises(IsolationGameError, match="out of range"):
         close_marks(g, K2, -1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: closed_neighborhood(g, [5]),
+        lambda g: components(g, 1 << 5 | 1),
+        lambda g: contains_pattern(g, 1 << 5, path_graph(2)),
+        lambda g: is_forbidden_component(g, 1 << 5, K2),
+        lambda g: is_isolating(g, K2, [5]),
+    ],
+    ids=["closed_neighborhood", "components", "contains_pattern",
+         "is_forbidden_component", "is_isolating"],
+)
+def test_vertex_sets_outside_the_graph_fail_loudly(call):
+    # the public set functions raise a package error, not a bare IndexError
+    with pytest.raises(IsolationGameError, match=r"\[5\] out of range for order 3"):
+        call(path_graph(3))
+
+
+@pytest.mark.parametrize("x", [-1, -5, 5], ids=["minus-one", "minus-n", "n"])
+def test_moves_outside_the_graph_are_illegal(x):
+    # a negative index must not alias vertex n + x
+    state = initial_closure(path_graph(5), K2, 0)
+    assert not is_playable(state, x)
+    with pytest.raises(IllegalMove, match=rf"vertex {x} out of range for order 5"):
+        apply_move(state, K2, x)
 
 
 def test_negative_initial_marks_fail_loudly():
