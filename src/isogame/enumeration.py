@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .errors import BudgetExceeded, OrderTooLarge
+from .errors import BadSpec, BudgetExceeded, OrderTooLarge
 from .graph import Graph, iter_mask, mask_list
 
 MAX_ENUM_ORDER = 8
@@ -38,6 +38,10 @@ TREE_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
     11: 235, 12: 551, 13: 1301, 14: 3159, 15: 7741, 16: 19320,
 }
+
+#: Tree classes are built up to the last order with a frozen count; order
+#: 17 already takes about 30 s to build.
+MAX_TREE_ORDER = max(TREE_COUNTS)
 
 
 def _refined_colors(n: int, adj: tuple[int, ...]) -> list[int]:
@@ -192,14 +196,19 @@ def tree_from_pruefer(n: int, seq: tuple[int, ...]) -> Graph:
     return Graph(n, tuple(adj))
 
 
+def _require_tree_order(n: int, cap: int, what: str) -> None:
+    if n < 1:
+        raise BadSpec(f"{what} need an order of at least 1, got {n}")
+    if n > cap:
+        raise BudgetExceeded(f"{what} capped at order {cap}, got {n}")
+
+
 def all_trees(n: int) -> Iterator[Graph]:
     """Every labeled tree on n vertices via Pruefer sequences (n^(n-2) of
     them, not deduplicated by isomorphism). The order is checked at the
-    call, before any tree is built: above 8 it raises BudgetExceeded."""
-    if n > MAX_PRUEFER_ORDER:
-        raise BudgetExceeded(
-            f"labeled trees capped at order {MAX_PRUEFER_ORDER}, got {n}"
-        )
+    call, before any tree is built: below 1 it raises BadSpec, above 8
+    BudgetExceeded."""
+    _require_tree_order(n, MAX_PRUEFER_ORDER, "labeled trees")
     if n <= 2:
         return iter((tree_from_pruefer(n, ()),))
     return (tree_from_pruefer(n, seq) for seq in product(range(n), repeat=n - 2))
@@ -238,8 +247,10 @@ def tree_classes(n: int) -> tuple[Graph, ...]:
 
     Built by leaf augmentation: every tree on k+1 vertices is a tree on k
     vertices plus a leaf, so growing every class by a leaf at every vertex
-    and deduplicating by tree code is exhaustive.
+    and deduplicating by tree code is exhaustive. The order is checked at
+    the call: below 1 it raises BadSpec, above 16 BudgetExceeded.
     """
+    _require_tree_order(n, MAX_TREE_ORDER, "tree classes")
     if n == 1:
         return (Graph(1, (0,)),)
     out: dict[str, Graph] = {}

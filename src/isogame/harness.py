@@ -314,13 +314,14 @@ def _check_forest_monotone(
         if d.value > s.value:
             violations.append({**row, "observed": (d.value, s.value), "expected": "d<=s"})
 
-    # every order is checked against the budget before the first solve
+    # every order is checked against its budget before the first solve; the
+    # highest tree order is built first, as building it builds the lower ones
     labeled = [all_trees(n) for n in range(1, pruefer_n_max + 1)]
+    classes = [tree_classes(n) for n in range(tree_n_max, pruefer_n_max, -1)]
     for tree in chain.from_iterable(labeled):
         check_state(tree, 0, "pruefer")
-    for n in range(pruefer_n_max + 1, tree_n_max + 1):
-        for tree in tree_classes(n):
-            check_state(tree, 0, "tree-class")
+    for tree in chain.from_iterable(reversed(classes)):
+        check_state(tree, 0, "tree-class")
     for n in forest_orders:
         for _ in range(forests_per_order):
             g = _random_forest(n, rng)

@@ -13,8 +13,14 @@ therefore re-checks only those (:func:`close_near`); :func:`close_marks`
 is the same body run over the whole graph, for marks of unknown history.
 Whether a component is quiet depends only on the graph, the family and
 the component's vertex mask, so :func:`close_near` reads and fills a
-``quiet`` dict keyed by that mask: the solver keeps one per solve, and
-subgraph search runs at most once per distinct component.
+``quiet`` dict keyed by that mask: the solver keeps one per search
+context, which ``solve_both`` shares between its two starts, and subgraph
+search runs at most once per distinct component. A child's whole
+closure equals ``close_marks(marked | N[x])``, so it too depends only on
+that pre-closure mask, and in subgraph-search mode the solver memoises
+:func:`close_near` by it as well. Edge mode (K2) is not memoised: its
+closure is a few bit operations per child, and a memo entry per child
+costs more memory than the lookup saves time.
 """
 
 from __future__ import annotations

@@ -14,10 +14,19 @@ from 0. Optimal moves and principal lines are read with one test per
 child, lowest vertex first, so ties break toward the lowest vertex index
 and lines are reproducible. The root's marks are closed in full; each
 child is closed only around its move (``rules.close_near``), which is
-exact because its parent was closed. Each solve also keeps one quiet memo
-beside its move table: a map from component mask to whether that
-component avoids every pattern, so in subgraph-search mode each distinct
-component is searched once per solve, however many states it appears in.
+exact because its parent was closed. ``solve_both`` runs its two starts
+in one search context: they share the bounds table and the two memos of
+subgraph-search mode. The quiet memo maps a component mask to whether
+that component avoids every pattern, so each distinct component is
+searched once, however many states it appears in. The closure memo maps a
+pre-closure mask to its closure: the initial marks for a root, and
+``marked | N[x]`` for a child, since closing a closed parent's child
+equals ``close_marks(marked | N[x])``, which depends on that mask alone.
+It pays because the count-up from 0 expands a stored state once per
+test, and each expansion closes the same children again. Edge-mode
+closure (K2) is a few bit operations per child, so there the search binds
+``close_near`` itself and keeps no closure memo, whose entries would cost
+more memory than they save time.
 """
 
 from __future__ import annotations
@@ -58,18 +67,42 @@ def _search(
     marks: int,
     dom_to_move: bool,
     table: dict[tuple[int, bool], tuple[int, int]],
+    quiet: dict[int, bool],
+    closures: dict[int, int],
     memo_cap: int,
 ) -> tuple[int, int, Callable[[int, bool, int], Iterator[tuple[int, int]]]]:
     """One solve's context: close ``marks``, count the value of that state
-    up from 0, and return ``(closed marks, value, optimal_children)``. Both
-    closures share one move table, one quiet memo and the bounds ``table``."""
+    up from 0, and return ``(closed marks, value, optimal_children)``.
+    ``at_most`` and ``optimal_children`` share one move table, the bounds
+    ``table``, the ``quiet`` memo (component mask -> quiet verdict) and the
+    ``closures`` memo (mask -> its closure). The three dicts hold only for
+    this ``g`` and ``fam``; several starts may share them."""
     full = g.full_mask
     # per vertex x: what playing it marks, N[x], and where closure can act, N[N[x]]
     moves = [(hit, closed_neighborhood(g, hit)) for hit in g.closed]
-    # component mask -> quiet verdict; exact because g and fam are fixed here
-    quiet: dict[int, bool] = {}
     # every move marks a new vertex, so a live state lasts 1..n moves
     default = (1, g.n)
+    # the root and each child are closed through the closure memo in search
+    # mode, directly in every cheaper mode; ``child`` takes close_near's
+    # arguments so that edge mode calls close_near with no wrapper between
+    if fam.mode == "search":
+
+        def child(g: Graph, fam: ForbiddenFamily, pre: int, near: int, quiet: dict) -> int:
+            closed = closures.get(pre)
+            if closed is None:
+                if len(closures) >= memo_cap or len(quiet) >= memo_cap:
+                    raise StateSpaceBudgetExceeded(
+                        f"search-mode memos exceeded {memo_cap} entries"
+                    )
+                closed = closures[pre] = close_near(g, fam, pre, near, quiet)
+            return closed
+
+        marked = closures.get(marks)
+        if marked is None:
+            marked = closures[marks] = close_marks(g, fam, marks)
+    else:
+        child = close_near
+        marked = close_marks(g, fam, marks)
 
     def at_most(marked: int, dom_to_move: bool, k: int) -> bool:
         if marked == full:
@@ -87,7 +120,7 @@ def _search(
         unmarked = full & ~marked
         for hit, near in moves:
             if hit & unmarked and at_most(
-                close_near(g, fam, marked | hit, near, quiet), not dom_to_move, k - 1
+                child(g, fam, marked | hit, near, quiet), not dom_to_move, k - 1
             ) is dom_to_move:
                 passed = dom_to_move
                 break
@@ -105,15 +138,14 @@ def _search(
         child tells whether it attains the value."""
         for x, (hit, near) in enumerate(moves):
             if hit & ~marked:
-                child = close_near(g, fam, marked | hit, near, quiet)
+                closed = child(g, fam, marked | hit, near, quiet)
                 if (
-                    at_most(child, False, value - 1)
+                    at_most(closed, False, value - 1)
                     if dom_to_move
-                    else not at_most(child, True, value - 2)
+                    else not at_most(closed, True, value - 2)
                 ):
-                    yield x, child
+                    yield x, closed
 
-    marked = close_marks(g, fam, marks)
     value = 0
     while not at_most(marked, dom_to_move, value):
         value += 1
@@ -131,7 +163,9 @@ def optimal_moves(
     """Mask of every playable vertex whose successor attains the optimum,
     after closing the state's marks."""
     dom = mover is Mover.DOMINATOR
-    marked, value, optimal_children = _search(g, fam, state.marked, dom, {}, memo_cap)
+    marked, value, optimal_children = _search(
+        g, fam, state.marked, dom, {}, {}, {}, memo_cap
+    )
     if marked == g.full_mask:
         raise TerminalState("no moves from a fully marked graph")
     return mask_of(x for x, _ in optimal_children(marked, dom, value))
@@ -145,14 +179,21 @@ def solve(
     *,
     memo_cap: int = DEFAULT_MEMO_CAP,
     memo: dict | None = None,
+    quiet: dict | None = None,
+    closures: dict | None = None,
 ) -> GameResult:
     """Close the initial marks, find the value, and read the principal line
     with one test per child. A shared ``memo`` (the bounds table) amortizes
     several starts on one graph and family; entries only ever tighten, so
-    reuse is safe."""
+    reuse is safe. ``quiet`` and ``closures`` are the search-mode memos,
+    shared the same way and only on the same graph and family."""
     dom = start_player is Mover.DOMINATOR
     marked, value, optimal_children = _search(
-        g, fam, as_mask(initial_marks), dom, {} if memo is None else memo, memo_cap
+        g, fam, as_mask(initial_marks), dom,
+        {} if memo is None else memo,
+        {} if quiet is None else quiet,
+        {} if closures is None else closures,
+        memo_cap,
     )
     line = []
     for left in range(value, 0, -1):
@@ -169,10 +210,11 @@ def solve_both(
     *,
     memo_cap: int = DEFAULT_MEMO_CAP,
 ) -> tuple[GameResult, GameResult]:
-    """Dominator-start and Staller-start results sharing one bounds table."""
-    memo: dict = {}
-    d = solve(g, fam, Mover.DOMINATOR, initial_marks, memo_cap=memo_cap, memo=memo)
-    s = solve(g, fam, Mover.STALLER, initial_marks, memo_cap=memo_cap, memo=memo)
+    """Dominator-start and Staller-start results sharing one search context:
+    one bounds table, one quiet memo and one closure memo."""
+    shared = {"memo_cap": memo_cap, "memo": {}, "quiet": {}, "closures": {}}
+    d = solve(g, fam, Mover.DOMINATOR, initial_marks, **shared)
+    s = solve(g, fam, Mover.STALLER, initial_marks, **shared)
     return d, s
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import isogame.harness as harness
 from isogame import CheckKind, GameResult, encode_graph6, path_graph
 from isogame.cli import main
-from isogame.harness import CHECKS
+from isogame.harness import CHECKS, CheckSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -169,6 +170,21 @@ def test_family_alltrees_emits_all_lines(capsys):
     code, out, _ = run_cli(capsys, "family", "--spec", "alltrees:4")
     assert code == 0
     assert len(out.splitlines()) == 16
+
+
+def test_forest_monotone_tree_order_above_the_cap_exits_one(monkeypatch, capsys):
+    # no flag sets the tree order, so raise the check's default past the cap
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a tree was solved before the order was checked")
+
+    runner = partial(harness._check_forest_monotone, tree_n_max=17)
+    monkeypatch.setattr(harness, "solve_both", no_solve)
+    monkeypatch.setitem(
+        CHECKS, CheckKind.FOREST_MONOTONE, CheckSpec(runner, trials="forests_per_order")
+    )
+    code, out, err = run_cli(capsys, "verify", "--check", "forest-monotone")
+    assert code == 1 and out == ""
+    assert "tree classes capped at order 16, got 17" in err
 
 
 def test_family_alltrees_above_the_cap_exits_one(capsys):

@@ -11,6 +11,7 @@ from random import Random
 import pytest
 
 from isogame import (
+    BadSpec,
     BudgetExceeded,
     OrderTooLarge,
     all_trees,
@@ -23,7 +24,7 @@ from isogame import (
     tree_classes,
 )
 from isogame.enumeration import (
-    CONNECTED_COUNTS, MAX_PRUEFER_ORDER, TREE_COUNTS, tree_code
+    CONNECTED_COUNTS, MAX_PRUEFER_ORDER, MAX_TREE_ORDER, TREE_COUNTS, tree_code
 )
 from isogame.graph import Graph
 
@@ -122,6 +123,23 @@ def test_all_trees_is_capped_at_the_call():
     # raised by the call itself, not by the first next()
     with pytest.raises(BudgetExceeded, match="capped at order 8"):
         all_trees(MAX_PRUEFER_ORDER + 1)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("build", [all_trees, tree_classes])
+def test_tree_orders_below_one_fail_at_the_call(build, n):
+    # a package error, not an IndexError from an empty leaf heap or a
+    # recursion that never reaches order 1
+    with pytest.raises(BadSpec, match=rf"order of at least 1, got {n}"):
+        build(n)
+
+
+def test_tree_classes_are_capped_at_the_call():
+    # the cap is the last order with a frozen count, checked before any
+    # smaller order is built
+    assert MAX_TREE_ORDER == max(TREE_COUNTS) == 16
+    with pytest.raises(BudgetExceeded, match="capped at order 16, got 17"):
+        tree_classes(MAX_TREE_ORDER + 1)
 
 
 def test_tree_classes_match_pruefer_dedup_oracle():

@@ -73,6 +73,15 @@ def test_forest_monotone_rejects_large_pruefer_orders_before_solving(monkeypatch
         run_check("forest-monotone", pruefer_n_max=12)
 
 
+def test_forest_monotone_rejects_large_tree_orders_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a tree was solved before the order was checked")
+
+    monkeypatch.setattr(harness, "solve_both", no_solve)
+    with pytest.raises(BudgetExceeded, match="tree classes capped at order 16, got 17"):
+        run_check("forest-monotone", tree_n_max=17)
+
+
 def test_diff_at_most_one_small():
     report = run_check(CheckKind.DIFF_AT_MOST_ONE, n_max=4)
     assert report.ok

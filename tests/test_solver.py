@@ -311,6 +311,22 @@ def test_memo_cap_is_enforced():
         solve(path_graph(10), K2, Mover.DOMINATOR, memo_cap=8)
 
 
+def test_memo_cap_bounds_the_closure_memo():
+    # under P3 on cycle:12 both starts store 85 bounds, 87 quiet verdicts
+    # and 165 closures, so a cap of 100 is met by the closure memo
+    # alone, and a cap above all three gives the usual values
+    g = make_family("cycle:12")
+    memo, quiet, closures = {}, {}, {}
+    for mover in (Mover.DOMINATOR, Mover.STALLER):
+        solve(g, P3, mover, memo=memo, quiet=quiet, closures=closures)
+    assert (len(memo), len(quiet), len(closures)) == (85, 87, 165)
+    with pytest.raises(StateSpaceBudgetExceeded, match="search-mode memos exceeded 100"):
+        solve_both(g, P3, memo_cap=100)
+    capped = solve_both(g, P3, memo_cap=166)
+    assert capped == solve_both(g, P3)
+    assert [r.value for r in capped] == [4, 4]
+
+
 def test_result_record_schema():
     g = cycle_graph(6)
     result = solve(g, K2, Mover.DOMINATOR, [1])
@@ -425,6 +441,9 @@ def test_quiet_memo_searches_each_component_once_per_solve(monkeypatch):
     for comps in searched:
         assert comps
         assert len(comps) == len(set(comps))
+    # both starts share one quiet memo, so none searches a component twice
+    both = searched[0] + searched[1]
+    assert len(both) == len(set(both))
     searched.clear()
     solve_both(g, K2)
     assert searched == [[], []]
@@ -459,3 +478,36 @@ def test_search_families_solved_in_turn_match_fresh_solves(spec):
     assert solve_both(g, P3) == fresh_p3
     assert solve_both(g, K3_P4) == fresh_k3_p4
     assert solve_both(g, P3) == fresh_p3
+
+
+@pytest.mark.parametrize("fam", [P3, K3_P4], ids=["P3", "K3+P4"])
+def test_closure_memo_closes_each_pre_mask_once(monkeypatch, fam):
+    # a child's closure depends only on its pre-closure mask marked | N[x],
+    # so in search mode both starts of one solve_both close each such
+    # mask at most once, however many tests expand its parent
+    from isogame import solver
+
+    pre_masks = []
+    close_near = solver.close_near
+
+    def counting_close_near(g, fam, marked, near, quiet):
+        pre_masks.append(marked)
+        return close_near(g, fam, marked, near, quiet)
+
+    monkeypatch.setattr(solver, "close_near", counting_close_near)
+    for spec in ("cycle:20", "gstar:complete:2", "path:13"):
+        pre_masks.clear()
+        d, s = solve_both(make_family(spec), fam)
+        assert pre_masks
+        assert len(pre_masks) == len(set(pre_masks)), spec
+
+
+def test_solve_both_equals_two_fresh_solves():
+    # the shared context changes only how often work is done: values and
+    # principal lines match a solve of each start with its own context
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            for fam in (K1, K2, P3, K3_P4):
+                assert solve_both(g, fam) == (
+                    solve(g, fam, Mover.DOMINATOR), solve(g, fam, Mover.STALLER)
+                ), (encode_graph6(g), fam.tag)
