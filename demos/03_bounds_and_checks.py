@@ -23,15 +23,15 @@ print(f"  {report.instances} instances, {len(report.violations)} violations, "
 
 print()
 print("== Nested pre-markings never lengthen the game ==")
-report = run_check(CheckKind.CONTINUATION_PRINCIPLE, trials_per_order=50, seed=0)
+report = run_check(CheckKind.CONTINUATION_PRINCIPLE, trials=50, seed=0)
 print(f"  {report.instances} nested pairs, {len(report.violations)} violations")
 
 print()
 print("== On forests the D-game never outlasts the S-game ==")
-report = run_check(CheckKind.FOREST_MONOTONE, forests_per_order=25, seed=0)
+report = run_check(CheckKind.FOREST_MONOTONE, trials=25, seed=0)
 print(f"  {report.instances} instances, {len(report.violations)} violations")
 
 print()
 print("== Adding a disjoint star strictly lengthens forest games ==")
-report = run_check(CheckKind.STAR_ADDITION, per_order=10, seed=0)
+report = run_check(CheckKind.STAR_ADDITION, trials=10, seed=0)
 print(f"  {report.instances} instances, {len(report.violations)} violations")

@@ -16,7 +16,7 @@ import sys
 from .errors import BadSpec, IsolationGameError
 from .families import iter_family, vertex_name_to_index
 from .graph import parse_graph6
-from .harness import CHECKS, CheckKind, CheckReport, conjecture_sweep, run_check
+from .harness import CheckKind, CheckReport, conjecture_sweep, run_check
 from .rules import parse_forbidden
 from .solver import DEFAULT_MEMO_CAP, Mover, result_record, solve
 
@@ -155,16 +155,11 @@ def _emit_report(report: CheckReport, args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    # forward only the flags given; --trials sets the check's trials param,
-    # or the bare name "trials" when it has none, which run_check rejects
-    kind = CheckKind(args.check)
+    # forward only the flags given, each as the param of its own name
     given = {
-        "n_min": args.n_min,
-        "n_max": args.n_max,
-        "seed": args.seed,
-        CHECKS[kind].trials or "trials": args.trials,
+        "n_min": args.n_min, "n_max": args.n_max, "seed": args.seed, "trials": args.trials
     }
-    report = run_check(kind, **{k: v for k, v in given.items() if v is not None})
+    report = run_check(args.check, **{k: v for k, v in given.items() if v is not None})
     return _emit_report(report, args)
 
 

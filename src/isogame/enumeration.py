@@ -12,7 +12,10 @@ upper-triangle encoding over vertex orderings that respect an iterated
 degree-refinement coloring. The coloring is label-independent, so two
 graphs share a canonical form exactly when they are isomorphic; the
 refinement keeps the ordering search near-linear for the vast majority of
-small graphs.
+small graphs. Refinement cannot split twins (vertices whose neighborhoods
+agree apart from each other), so at each position the search tries one
+vertex per twin class, and a star or a complete graph is placed in a
+single order.
 """
 
 from __future__ import annotations
@@ -93,11 +96,17 @@ def _canonical_perm(n: int, adj: tuple[int, ...]) -> list[int]:
             return False
         updated = False
         sm = smaller
+        tried: list[int] = []
         for v in cells[pos_color[p]]:
             bit = 1 << v
             if used & bit:
                 continue
             row = adj[v]
+            # swapping two unplaced twins is an automorphism that fixes the
+            # prefix, so a twin of a vertex tried here can only repeat its keys
+            if tried and any(row & ~(1 << u) == adj[u] & ~bit for u in tried):
+                continue
+            tried.append(v)
             block = 0
             for q, u in enumerate(placed):
                 block |= (row >> u & 1) << q
@@ -208,7 +217,7 @@ def all_trees(n: int) -> Iterator[Graph]:
     them, not deduplicated by isomorphism). The order is checked at the
     call, before any tree is built: below 1 it raises BadSpec, above 8
     BudgetExceeded."""
-    _require_tree_order(n, MAX_PRUEFER_ORDER, "labeled trees")
+    _require_tree_order(n, MAX_PRUEFER_ORDER, "labeled trees (family alltrees)")
     if n <= 2:
         return iter((tree_from_pruefer(n, ()),))
     return (tree_from_pruefer(n, seq) for seq in product(range(n), repeat=n - 2))

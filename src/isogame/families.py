@@ -126,12 +126,6 @@ def vertex_name_to_index(name: str) -> int:
     return index
 
 
-def _trees(n: int) -> Iterator[Graph]:
-    if n < 1:
-        raise BadSpec(f"family alltrees order must be positive, got {n}")
-    return all_trees(n)
-
-
 #: Every tag whose fields are all integers: its builder and the names of its
 #: fields, in order. A spec gives at most that many fields. ``alltrees``
 #: names a sequence of graphs, so only :func:`iter_family` builds it.
@@ -144,7 +138,7 @@ _INT_TAGS: dict[str, tuple[Callable[..., Graph | Iterator[Graph]], tuple[str, ..
     "gtriangles": (g_triangles, ("triangle count",)),
     "ftriangles": (f_triangles, ("triangle count", "k")),
     "gh": (g_h, ("copy count",)),
-    "alltrees": (_trees, ("order",)),
+    "alltrees": (all_trees, ("order",)),
 }
 
 

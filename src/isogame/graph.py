@@ -17,9 +17,11 @@ MAX_ORDER = 63
 
 
 def mask_of(vertices: Iterable[int]) -> int:
-    """Pack vertex indices into a bitmask."""
+    """Pack vertex indices into a bitmask; a negative index raises."""
     m = 0
     for v in vertices:
+        if v < 0:
+            raise IsolationGameError(f"negative vertex {v}")
         m |= 1 << v
     return m
 

@@ -207,8 +207,8 @@ def test_criterion_7_forest_monotonicity():
         CheckKind.FOREST_MONOTONE,
         tree_n_max=9,
         pruefer_n_max=6,
-        forest_orders=(6, 7, 8, 9),
-        forests_per_order=100,
+        orders=(6, 7, 8, 9),
+        trials=100,
         seed=0,
     )
     assert report.ok, report.violations[:3]
@@ -227,7 +227,7 @@ def test_criterion_8_continuation_principle():
     report = run_check(
         CheckKind.CONTINUATION_PRINCIPLE,
         orders=(4, 5, 6, 7),
-        trials_per_order=200,
+        trials=200,
         seed=0,
     )
     assert report.ok, report.violations[:3]

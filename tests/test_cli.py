@@ -12,7 +12,7 @@ import pytest
 import isogame.harness as harness
 from isogame import CheckKind, GameResult, encode_graph6, path_graph
 from isogame.cli import main
-from isogame.harness import CHECKS, CheckSpec
+from isogame.harness import CHECKS, check_defaults
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -144,6 +144,18 @@ def test_verify_reproducible_json_is_byte_stable(capsys):
     assert "wall_time_s" not in out_a
 
 
+@pytest.mark.parametrize(
+    "check", ["continuation-principle", "forest-monotone", "star-addition"]
+)
+def test_verify_trials_sets_the_trials_param(capsys, check):
+    code, out, _ = run_cli(
+        capsys, "verify", "--check", check, "--trials", "3",
+        "--format", "json", "--reproducible",
+    )
+    assert code == 0
+    assert json.loads(out)["params"]["trials"] == 3
+
+
 def test_sweep_small(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--n-max", "5", "--format", "json", "--reproducible"
@@ -179,9 +191,7 @@ def test_forest_monotone_tree_order_above_the_cap_exits_one(monkeypatch, capsys)
 
     runner = partial(harness._check_forest_monotone, tree_n_max=17)
     monkeypatch.setattr(harness, "solve_both", no_solve)
-    monkeypatch.setitem(
-        CHECKS, CheckKind.FOREST_MONOTONE, CheckSpec(runner, trials="forests_per_order")
-    )
+    monkeypatch.setitem(CHECKS, CheckKind.FOREST_MONOTONE, runner)
     code, out, err = run_cli(capsys, "verify", "--check", "forest-monotone")
     assert code == 1 and out == ""
     assert "tree classes capped at order 16, got 17" in err
@@ -331,15 +341,11 @@ def test_readme_flag_table_matches_the_registry():
     assert set(table) == {kind.value for kind in CheckKind}
     for kind in CheckKind:
         row = table[kind.value]
-        assert set(row) == {"`--n-min`", "`--n-max`", "`--seed`", "`--trials` sets"}
-        spec = CHECKS[kind]
-        for flag in ("n_min", "n_max", "seed"):
+        assert set(row) == {"`--n-min`", "`--n-max`", "`--seed`", "`--trials`"}
+        defaults = check_defaults(kind)
+        for flag in ("n_min", "n_max", "seed", "trials"):
             cell = row[f"`--{flag.replace('_', '-')}`"]
-            assert cell == ("yes" if flag in spec.defaults else ""), (kind.value, flag)
-        trials = row["`--trials` sets"]
-        assert trials == (f"`{spec.trials}`" if spec.trials else ""), kind.value
-        if spec.trials:
-            assert spec.trials in spec.defaults
+            assert cell == ("yes" if flag in defaults else ""), (kind.value, flag)
 
 
 def test_help_exits_zero(capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from isogame import (
     BadEdge,
     IsolationGameError,
+    Mover,
     OrderTooLarge,
     as_mask,
     build_graph,
@@ -13,10 +14,13 @@ from isogame import (
     components,
     cycle_graph,
     disjoint_union,
+    initial_closure,
     iter_mask,
     mask_list,
     mask_of,
     path_graph,
+    single_edge_family,
+    solve,
 )
 from strategies import graphs_with_masks
 
@@ -35,6 +39,17 @@ def test_negative_masks_raise():
         list(iter_mask(-5))
     with pytest.raises(IsolationGameError, match="negative vertex mask -1"):
         as_mask(-1)
+    # an index list is checked too: 1 << -1 would be a bare ValueError
+    g = path_graph(5)
+    k2 = single_edge_family()
+    with pytest.raises(IsolationGameError, match="negative vertex -1"):
+        mask_of([-1])
+    with pytest.raises(IsolationGameError, match="negative vertex -1"):
+        solve(g, k2, Mover.DOMINATOR, [-1])
+    with pytest.raises(IsolationGameError, match="negative vertex -2"):
+        closed_neighborhood(g, [-2])
+    with pytest.raises(IsolationGameError, match="negative vertex -1"):
+        initial_closure(g, k2, [-1])
 
 
 def test_build_graph_is_p4():

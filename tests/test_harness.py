@@ -16,22 +16,22 @@ from isogame import (
     run_check,
 )
 from isogame.cli import _rows_to_csv
-from isogame.harness import CHECKS, ceil_three_sevenths, find_witness
+from isogame.harness import CHECKS, ceil_three_sevenths, check_defaults, find_witness
 
 # small overrides per kind, so every registered runner executes quickly
 SMALL_PARAMS = {
     CheckKind.DIFF_AT_MOST_ONE: {"n_max": 3},
-    CheckKind.CONTINUATION_PRINCIPLE: {"orders": (4,), "trials_per_order": 3},
+    CheckKind.CONTINUATION_PRINCIPLE: {"orders": (4,), "trials": 3},
     CheckKind.SANDWICH: {"n_max": 3, "fams": ("P3",)},
     CheckKind.FAMILY_MONOTONE: {"n_max": 3},
     CheckKind.HALF_BOUND: {"n_min": 2, "n_max": 3},
     CheckKind.SPANNING_GAP: {"ns": (3,)},
     CheckKind.FOREST_MONOTONE: {
-        "tree_n_max": 5, "pruefer_n_max": 4, "forest_orders": (5,), "forests_per_order": 2,
+        "tree_n_max": 5, "pruefer_n_max": 4, "orders": (5,), "trials": 2,
     },
     CheckKind.PATH_BOUNDS: {"n_max": 8},
     CheckKind.PATH_EXACT: {"n_min": 7, "n_max": 8},
-    CheckKind.STAR_ADDITION: {"orders": (4,), "per_order": 2, "star_sizes": (1,)},
+    CheckKind.STAR_ADDITION: {"orders": (4,), "trials": 2, "star_sizes": (1,)},
     CheckKind.FAMILY_VALUES: {},
     CheckKind.CONJECTURE_SWEEP: {"n_max": 4},
 }
@@ -39,11 +39,18 @@ SMALL_PARAMS = {
 
 def test_every_check_kind_is_registered():
     assert set(CHECKS) == set(CheckKind) == set(SMALL_PARAMS)
-    for spec in CHECKS.values():
-        assert spec.trials is None or spec.trials in spec.defaults
+    sampled = {
+        CheckKind.CONTINUATION_PRINCIPLE, CheckKind.FOREST_MONOTONE, CheckKind.STAR_ADDITION
+    }
+    for kind, runner in CHECKS.items():
+        # the sampled checks share their param names, so --trials and
+        # --seed each set the param of their own name
+        defaults = check_defaults(kind)
+        assert ("trials" in defaults) == (kind in sampled), kind.value
+        assert ({"orders", "trials", "seed"} <= set(defaults)) == (kind in sampled)
         # every param the runner takes has a default, so run_check can
         # call it with no params at all
-        params = inspect.signature(spec.runner).parameters.values()
+        params = inspect.signature(runner).parameters.values()
         assert all(p.default is not p.empty for p in params)
 
 
@@ -52,7 +59,7 @@ def test_run_check_echoes_merged_params(kind):
     params = SMALL_PARAMS[kind]
     report = run_check(kind, **params)
     assert report.ok
-    assert report.params == {**CHECKS[kind].defaults, **params}
+    assert report.params == {**check_defaults(kind), **params}
 
 
 def test_run_check_rejects_unknown_params_and_empty_sets():
@@ -126,8 +133,8 @@ def test_forest_monotone_small_params():
         CheckKind.FOREST_MONOTONE,
         tree_n_max=7,
         pruefer_n_max=5,
-        forest_orders=(5, 6),
-        forests_per_order=10,
+        orders=(5, 6),
+        trials=10,
         seed=1,
     )
     assert report.ok
@@ -136,7 +143,7 @@ def test_forest_monotone_small_params():
 
 def test_continuation_small_params():
     report = run_check(
-        CheckKind.CONTINUATION_PRINCIPLE, orders=(4, 5), trials_per_order=30, seed=2
+        CheckKind.CONTINUATION_PRINCIPLE, orders=(4, 5), trials=30, seed=2
     )
     assert report.ok
     assert report.instances == 60
@@ -144,7 +151,7 @@ def test_continuation_small_params():
 
 def test_star_addition_small_params():
     report = run_check(
-        CheckKind.STAR_ADDITION, orders=(4, 5), per_order=8, star_sizes=(1, 2), seed=3
+        CheckKind.STAR_ADDITION, orders=(4, 5), trials=8, star_sizes=(1, 2), seed=3
     )
     assert report.ok
     for row in report.rows:
@@ -153,10 +160,10 @@ def test_star_addition_small_params():
 
 
 def test_randomized_checks_are_deterministic_for_a_seed():
-    a = run_check(CheckKind.CONTINUATION_PRINCIPLE, orders=(4,), trials_per_order=20, seed=7)
-    b = run_check(CheckKind.CONTINUATION_PRINCIPLE, orders=(4,), trials_per_order=20, seed=7)
+    a = run_check(CheckKind.CONTINUATION_PRINCIPLE, orders=(4,), trials=20, seed=7)
+    b = run_check(CheckKind.CONTINUATION_PRINCIPLE, orders=(4,), trials=20, seed=7)
     assert a.rows == b.rows
-    c = run_check(CheckKind.CONTINUATION_PRINCIPLE, orders=(4,), trials_per_order=20, seed=8)
+    c = run_check(CheckKind.CONTINUATION_PRINCIPLE, orders=(4,), trials=20, seed=8)
     assert a.rows != c.rows
 
 
@@ -214,7 +221,7 @@ def test_catalog_order_range_fails_before_any_solve(monkeypatch, kind):
     monkeypatch.setattr(harness, "solve", no_solve)
     with pytest.raises(BudgetExceeded, match="capped.*n_max"):
         run_check(kind, n_max=9)
-    if "n_min" in CHECKS[kind].defaults:
+    if "n_min" in check_defaults(kind):
         with pytest.raises(BadSpec, match="n_min"):
             run_check(kind, n_min=0)
 
@@ -258,7 +265,7 @@ PINNED_DIGESTS = {
     ),
     "continuation-principle": (
         "f3f5e3cbad1c2d359c699b88a14e46d5dcf2496be71bd31308005d7999dbeb97",
-        "47168b5440fde4494675fea15625c3b9df7ed3684f0b4175bc7e059207d6cf1c",
+        "bcc0196c1b0868db04bc11b6e089b459b4c1443e2b1c8cedc892b41b3192e9e9",
     ),
     "sandwich": (
         "67af8faed112b1583872cebcac0c5aefef9dc4026984c419e647cf4e54d5181b",
@@ -278,7 +285,7 @@ PINNED_DIGESTS = {
     ),
     "forest-monotone": (
         "1bf649391de5b64fa3ccf18a2a356dda3b832e0074e52d610e96346ab458ccbf",
-        "0def15a595dc5248caf332136294d6c4b12b31698f5f480b754897469aec0016",
+        "e99498dcd2650838f553c3c807d96183d5f086dbbdeb30c458aa4bf6ca78d6de",
     ),
     "path-bounds": (
         "76ca341e251aaa0c68ebc1c30aa6f30a9f793ad5680801a27d30db59328d1f86",
@@ -290,7 +297,7 @@ PINNED_DIGESTS = {
     ),
     "star-addition": (
         "080fed909671724f76bcda9a590e6c13e83dda53a134597e38a8ae87768c0a50",
-        "279d0ae8e500a9c896e9fbe37e2d2669973ce20071314669d87ac130e300ea24",
+        "770f30116f96b5d56598fc42060fec571a4feb69441d22f151d6805c28d93d04",
     ),
     "family-values": (
         "7d2b7fb7cf824c8986bcc8dd93ac3fd830e6ba1de44a9fcd5c91353a410079cf",
