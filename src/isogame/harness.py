@@ -297,6 +297,20 @@ def _random_closed_marks(g: Graph, fam: ForbiddenFamily, rng: random.Random) -> 
     return close_marks(g, fam, mask_of(picks))
 
 
+def _random_forest_states(
+    orders: Sequence[int], trials: int, fam: ForbiddenFamily, rng: random.Random
+) -> list[tuple[Graph, int]]:
+    """``trials`` random forests of each order with random closed marks,
+    all built at once, so an order past the graph cap fails before any
+    solve."""
+    states = []
+    for n in orders:
+        for _ in range(trials):
+            g = _random_forest(n, rng)
+            states.append((g, _random_closed_marks(g, fam, rng)))
+    return states
+
+
 def _check_forest_monotone(
     tree_n_max: int = 9,
     pruefer_n_max: int = 6,
@@ -325,14 +339,13 @@ def _check_forest_monotone(
     # highest tree order is built first, as building it builds the lower ones
     labeled = [all_trees(n) for n in range(1, pruefer_n_max + 1)]
     classes = [tree_classes(n) for n in range(tree_n_max, pruefer_n_max, -1)]
+    sampled = _random_forest_states(orders, trials, fam, rng)
     for tree in chain.from_iterable(labeled):
         check_state(tree, 0, "pruefer")
     for tree in chain.from_iterable(reversed(classes)):
         check_state(tree, 0, "tree-class")
-    for n in orders:
-        for _ in range(trials):
-            g = _random_forest(n, rng)
-            check_state(g, _random_closed_marks(g, fam, rng), "random-forest")
+    for g, marks in sampled:
+        check_state(g, marks, "random-forest")
     return rows, violations, extremal, {"seed": seed}
 
 
@@ -342,8 +355,9 @@ def _check_continuation(
     rows, violations, extremal = [], [], []
     fams = [single_vertex_family(), single_edge_family(), three_path_family()]
     rng = random.Random(seed)
-    for n in orders:
-        pool = list(enumerate_connected(n))
+    # every order is checked against the catalog cap before the first solve
+    pools = [list(enumerate_connected(n)) for n in orders]
+    for pool in pools:
         for t in range(trials):
             g = rng.choice(pool)
             fam = fams[t % len(fams)]
@@ -417,16 +431,16 @@ def _check_star_addition(
     fam = single_edge_family()
     rng = random.Random(seed)
 
-    instances: list[tuple[Graph, int]] = [(t, 0) for t in tree_classes(6)]
-    for n in orders:
-        for _ in range(trials):
-            g = _random_forest(n, rng)
-            instances.append((g, _random_closed_marks(g, fam, rng)))
+    instances = [(t, 0) for t in tree_classes(6)]
+    instances += _random_forest_states(orders, trials, fam, rng)
+    # every union is built before the first solve, so an order past the
+    # graph cap fails at once
+    stars = [star_graph(r) for r in star_sizes]
+    unions = [[disjoint_union(g, star) for star in stars] for g, _ in instances]
 
-    for g, marks in instances:
+    for (g, marks), with_stars in zip(instances, unions):
         base_d, base_s = (res.value for res in solve_both(g, fam, marks))
-        for r in star_sizes:
-            u = disjoint_union(g, star_graph(r))
+        for r, u in zip(star_sizes, with_stars):
             ud, us = (res.value for res in solve_both(u, fam, marks))
             row = {
                 **_head(g, fam.tag),
@@ -556,8 +570,9 @@ def run_check(kind: CheckKind | str, **params) -> CheckReport:
     """Run one registered check and wrap its findings in a CheckReport.
 
     ``params`` override the runner's keyword defaults, and the report
-    echoes the merged set. A param the check does not take, or a param set
-    that leaves no instance to check, raises BadSpec.
+    echoes the merged set. A param the check does not take, a negative
+    ``trials``, or a param set that leaves no instance to check, raises
+    BadSpec.
     """
     kind = CheckKind(kind)
     defaults = check_defaults(kind)
@@ -569,6 +584,8 @@ def run_check(kind: CheckKind | str, **params) -> CheckReport:
             f"it accepts {accepted}"
         )
     used = {**defaults, **params}
+    if used.get("trials", 0) < 0:
+        raise BadSpec(f"check {kind.value} needs trials >= 0, got {used['trials']}")
     t0 = time.perf_counter()
     rows, violations, extremal, metadata = CHECKS[kind](**used)
     if not rows:

@@ -11,16 +11,24 @@ components that meet ``N[N[x]]``: any other component has no neighbor in
 ``N[x]``, so it was already a live component before the move. The search
 therefore re-checks only those (:func:`close_near`); :func:`close_marks`
 is the same body run over the whole graph, for marks of unknown history.
-Whether a component is quiet depends only on the graph, the family and
-the component's vertex mask, so :func:`close_near` reads and fills a
-``quiet`` dict keyed by that mask: the solver keeps one per search
-context, which ``solve_both`` shares between its two starts, and subgraph
-search runs at most once per distinct component. A child's whole
-closure equals ``close_marks(marked | N[x])``, so it too depends only on
-that pre-closure mask, and in subgraph-search mode the solver memoises
-:func:`close_near` by it as well. Edge mode (K2) is not memoised: its
-closure is a few bit operations per child, and a memo entry per child
-costs more memory than the lookup saves time.
+Two family modes decide quietness from unmarked degrees alone, a few bit
+operations per vertex of ``near`` with no component search. In edge mode
+(a single-edge pattern, as in K2) a component is quiet exactly when it
+is one vertex. In pair mode (no pattern below order 3, and one of order
+3 with at most two edges, as P3) it is quiet exactly when it has at most
+two vertices, because every connected graph on three or more vertices
+contains P3 and hence that pattern. Every other family is in
+subgraph-search mode. There, whether a component is quiet depends only
+on the graph, the family and the component's vertex mask, so
+:func:`close_near` reads and fills a ``quiet`` dict keyed by that mask:
+the solver keeps one per search context, which ``solve_both`` shares
+between its two starts, and subgraph search runs at most once per
+distinct component. A child's whole closure equals
+``close_marks(marked | N[x])``, so it too depends only on that
+pre-closure mask, and in subgraph-search mode the solver memoises
+:func:`close_near` by it as well. Edge and pair mode are not memoised:
+their closure is a few bit operations per child, and a memo entry per
+child costs more memory than the lookup saves time.
 """
 
 from __future__ import annotations
@@ -42,8 +50,13 @@ MAX_PATTERN_ORDER = 6
 #   "none"  - some pattern has order <= 1, so no component is ever quiet
 #   "all"   - empty family: every component is vacuously quiet
 #   "edge"  - a single-edge pattern is present: quiet <=> singleton component
+#   "pair"  - every pattern has order >= 3 and one has order 3 and at most 2
+#             edges, which every connected graph on 3+ vertices contains
+#             (P3): quiet <=> the component has at most two vertices
 #   "search"- general case, decided per component by subgraph search
-_MODE_NONE, _MODE_ALL, _MODE_EDGE, _MODE_SEARCH = "none", "all", "edge", "search"
+_MODE_NONE, _MODE_ALL, _MODE_EDGE, _MODE_PAIR, _MODE_SEARCH = (
+    "none", "all", "edge", "pair", "search"
+)
 
 
 @dataclass(frozen=True)
@@ -67,6 +80,10 @@ class ForbiddenFamily:
             mode = _MODE_NONE
         elif any(p.n == 2 and p.num_edges == 1 for p in self.patterns):
             mode = _MODE_EDGE
+        elif all(p.n >= 3 for p in self.patterns) and any(
+            p.n == 3 and p.num_edges <= 2 for p in self.patterns
+        ):
+            mode = _MODE_PAIR
         else:
             mode = _MODE_SEARCH
         object.__setattr__(self, "mode", mode)
@@ -211,7 +228,8 @@ def close_near(
     ``near`` is live, e.g. after ``marked = closed | N[x]`` for a closed
     set and ``near = N[N[x]]``. ``quiet`` maps a component mask to its
     :func:`is_forbidden_component` verdict; it is read and filled in
-    search mode, and must only be shared by calls on one ``g`` and ``fam``.
+    subgraph-search mode only, and must only be shared by calls on one
+    ``g`` and ``fam``.
     """
     mode = fam.mode
     if mode == _MODE_EDGE:
@@ -224,6 +242,22 @@ def close_near(
             low = rest & -rest
             if not g.adj[low.bit_length() - 1] & unmarked:
                 extra |= low
+            rest ^= low
+        return marked | extra
+    if mode == _MODE_PAIR:
+        # quiet <=> a vertex with no unmarked neighbor, or two vertices
+        # that are each other's only unmarked neighbor
+        unmarked = ~marked
+        extra = 0
+        rest = near & unmarked
+        while rest:
+            low = rest & -rest
+            nb = g.adj[low.bit_length() - 1] & unmarked
+            if not nb:
+                extra |= low
+            elif not nb & (nb - 1) and not g.adj[nb.bit_length() - 1] & unmarked & ~low:
+                extra |= low | nb
+                rest &= ~nb
             rest ^= low
         return marked | extra
     full = g.full_mask

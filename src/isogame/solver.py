@@ -23,10 +23,10 @@ pre-closure mask to its closure: the initial marks for a root, and
 ``marked | N[x]`` for a child, since closing a closed parent's child
 equals ``close_marks(marked | N[x])``, which depends on that mask alone.
 It pays because the count-up from 0 expands a stored state once per
-test, and each expansion closes the same children again. Edge-mode
-closure (K2) is a few bit operations per child, so there the search binds
-``close_near`` itself and keeps no closure memo, whose entries would cost
-more memory than they save time.
+test, and each expansion closes the same children again. Edge-mode (K2)
+and pair-mode (P3) closure is a few bit operations per child, so there
+the search binds ``close_near`` itself and both memos stay empty: their
+entries would cost more memory than they save time.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _search(
     default = (1, g.n)
     # the root and each child are closed through the closure memo in search
     # mode, directly in every cheaper mode; ``child`` takes close_near's
-    # arguments so that edge mode calls close_near with no wrapper between
+    # arguments so that edge and pair mode call close_near with no wrapper
     if fam.mode == "search":
 
         def child(g: Graph, fam: ForbiddenFamily, pre: int, near: int, quiet: dict) -> int:

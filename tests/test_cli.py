@@ -156,6 +156,21 @@ def test_verify_trials_sets_the_trials_param(capsys, check):
     assert json.loads(out)["params"]["trials"] == 3
 
 
+@pytest.mark.parametrize(
+    "check", ["continuation-principle", "forest-monotone", "star-addition"]
+)
+def test_verify_negative_trials_exits_one(monkeypatch, capsys, check):
+    # a negative count draws nothing, so the check would pass on its fixed
+    # instances alone; it must fail before any solve instead
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before trials was checked")
+
+    monkeypatch.setattr(harness, "solve_both", no_solve)
+    code, out, err = run_cli(capsys, "verify", "--check", check, "--trials", "-1")
+    assert code == 1 and out == ""
+    assert f"check {check} needs trials >= 0, got -1" in err
+
+
 def test_sweep_small(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--n-max", "5", "--format", "json", "--reproducible"

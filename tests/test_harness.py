@@ -10,6 +10,7 @@ from isogame import (
     BudgetExceeded,
     CheckKind,
     GameResult,
+    OrderTooLarge,
     conjecture_sweep,
     cycle_graph,
     path_graph,
@@ -224,6 +225,31 @@ def test_catalog_order_range_fails_before_any_solve(monkeypatch, kind):
     if "n_min" in check_defaults(kind):
         with pytest.raises(BadSpec, match="n_min"):
             run_check(kind, n_min=0)
+
+
+@pytest.mark.parametrize(
+    "kind, orders, error",
+    [
+        ("continuation-principle", (4, 9), "connected enumeration supports 1..8, got 9"),
+        ("forest-monotone", (6, 70), "order 70 outside 0..63"),
+        ("star-addition", (4, 61), "union order 64 exceeds 63"),
+    ],
+    ids=["continuation-principle", "forest-monotone", "star-addition"],
+)
+def test_sampled_order_range_fails_before_any_solve(monkeypatch, kind, orders, error):
+    # a sampled check builds every instance before its first solve, so an
+    # order past its cap fails at once, not after the lower orders solved
+    calls = []
+    solve_both = harness.solve_both
+
+    def counting_solve_both(*args, **kwargs):
+        calls.append(args)
+        return solve_both(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_both", counting_solve_both)
+    with pytest.raises(OrderTooLarge, match=error):
+        run_check(kind, orders=orders)
+    assert calls == []
 
 
 def test_ceiling_helper():

@@ -262,16 +262,47 @@ def test_near_closure_after_a_move_equals_full_closure(gm):
 
 def test_fast_absorption_paths_match_generic_search():
     # force the generic per-component search and compare with the
-    # structure-specialized paths for the same families
+    # structure-specialized paths for the same families, both over the
+    # whole graph and around a move from a closed parent
     rng = Random(5)
     pool = [g for n in range(1, 7) for g in enumerate_connected(n)]
-    for fam in (K1, K2):
+    fams = (K1, K2, P3, parse_forbidden("custom:3:0-1"), parse_forbidden("custom:3:"))
+    for fam in fams:
+        assert fam.mode != "search"
         generic = ForbiddenFamily(fam.patterns, fam.tag)
         object.__setattr__(generic, "mode", "search")
         for _ in range(120):
             g = rng.choice(pool)
             marks = rng.randrange(g.full_mask + 1)
             assert close_marks(g, fam, marks) == close_marks(g, generic, marks)
+            closed = close_marks(g, generic, marks)
+            for hit in g.closed:
+                if hit & ~closed:
+                    near = closed_neighborhood(g, hit)
+                    assert close_near(g, fam, closed | hit, near, {}) == close_marks(
+                        g, generic, closed | hit
+                    )
+
+
+@pytest.mark.parametrize(
+    "spec, mode",
+    [
+        ("K1", "none"),
+        ("K2", "edge"),
+        ("P3", "pair"),
+        ("custom:3:0-1", "pair"),
+        ("custom:3:", "pair"),
+        ("custom:3:0-1;custom:4:0-1,1-2,2-3", "pair"),
+        ("custom:3:0-1,1-2,0-2", "search"),
+        ("custom:2:;custom:3:0-1,1-2", "search"),
+        ("custom:4:0-1,1-2,2-3", "search"),
+    ],
+)
+def test_family_mode_follows_the_smallest_patterns(spec, mode):
+    # "pair" needs every connected graph on three or more vertices to hold
+    # a pattern and no component of order <= 2 to hold one: a triangle
+    # alone misses P3, and a 2-vertex pattern already lives in an edge
+    assert parse_forbidden(spec).mode == mode
 
 
 def test_parse_forbidden_specs():

@@ -43,6 +43,8 @@ from strategies import graphs_with_masks
 K1 = single_vertex_family()
 K2 = single_edge_family()
 P3 = three_path_family()
+P4 = parse_forbidden("custom:4:0-1,1-2,2-3")
+K3_P4 = parse_forbidden("custom:3:0-1,1-2,0-2;custom:4:0-1,1-2,2-3")
 ALL_FAMS = (K1, K2, P3)
 
 
@@ -312,19 +314,24 @@ def test_memo_cap_is_enforced():
 
 
 def test_memo_cap_bounds_the_closure_memo():
-    # under P3 on cycle:12 both starts store 85 bounds, 87 quiet verdicts
-    # and 165 closures, so a cap of 100 is met by the closure memo
+    # under K3+P4 on cycle:12 both starts store 36 bounds, 90 quiet verdicts
+    # and 82 closures, so a cap of 60 is met by the search-mode memos
     # alone, and a cap above all three gives the usual values
     g = make_family("cycle:12")
     memo, quiet, closures = {}, {}, {}
     for mover in (Mover.DOMINATOR, Mover.STALLER):
+        solve(g, K3_P4, mover, memo=memo, quiet=quiet, closures=closures)
+    assert (len(memo), len(quiet), len(closures)) == (36, 90, 82)
+    with pytest.raises(StateSpaceBudgetExceeded, match="search-mode memos exceeded 60"):
+        solve_both(g, K3_P4, memo_cap=60)
+    capped = solve_both(g, K3_P4, memo_cap=91)
+    assert capped == solve_both(g, K3_P4)
+    assert [r.value for r in capped] == [3, 2]
+    # P3 closes by bit steps, so its solves fill neither memo
+    memo, quiet, closures = {}, {}, {}
+    for mover in (Mover.DOMINATOR, Mover.STALLER):
         solve(g, P3, mover, memo=memo, quiet=quiet, closures=closures)
-    assert (len(memo), len(quiet), len(closures)) == (85, 87, 165)
-    with pytest.raises(StateSpaceBudgetExceeded, match="search-mode memos exceeded 100"):
-        solve_both(g, P3, memo_cap=100)
-    capped = solve_both(g, P3, memo_cap=166)
-    assert capped == solve_both(g, P3)
-    assert [r.value for r in capped] == [4, 4]
+    assert (len(memo), len(quiet), len(closures)) == (85, 0, 0)
 
 
 def test_result_record_schema():
@@ -417,7 +424,7 @@ def test_negative_initial_marks_fail_loudly():
 def test_quiet_memo_searches_each_component_once_per_solve(monkeypatch):
     # a component's quiet verdict depends only on the graph, the family
     # and its vertex mask, so one solve runs subgraph search at most once
-    # per distinct component; edge mode never searches at all
+    # per distinct component; edge mode and P3 never search at all
     from isogame import rules, solver
 
     searched = []
@@ -435,8 +442,8 @@ def test_quiet_memo_searches_each_component_once_per_solve(monkeypatch):
     monkeypatch.setattr(rules, "is_forbidden_component", counting_is_quiet)
     monkeypatch.setattr(solver, "solve", one_solve)
     g = make_family("cycle:20")
-    d, s = solve_both(g, P3)
-    assert (d.value, s.value) == (7, 6)
+    d, s = solve_both(g, K3_P4)
+    assert (d.value, s.value) == (5, 5)
     assert len(searched) == 2
     for comps in searched:
         assert comps
@@ -444,18 +451,16 @@ def test_quiet_memo_searches_each_component_once_per_solve(monkeypatch):
     # both starts share one quiet memo, so none searches a component twice
     both = searched[0] + searched[1]
     assert len(both) == len(set(both))
-    searched.clear()
-    solve_both(g, K2)
-    assert searched == [[], []]
-
-
-K3_P4 = parse_forbidden("custom:3:0-1,1-2,0-2;custom:4:0-1,1-2,2-3")
+    for fam in (K2, P3):
+        searched.clear()
+        solve_both(g, fam)
+        assert searched == [[], []]
 
 
 def test_two_pattern_search_family_matches_naive_oracle():
-    # search mode beyond P3: a component is quiet only when it holds
-    # neither a triangle nor a P4. Each graph is solved under P3 first,
-    # so a quiet memo that outlived its family would show here
+    # search mode: a component is quiet only when it holds neither a
+    # triangle nor a P4. Each graph is solved under P3 first, so a
+    # closure carried over from another family would show here
     assert K3_P4.mode == "search"
     for n in range(1, 7):
         for g in enumerate_connected(n):
@@ -480,7 +485,7 @@ def test_search_families_solved_in_turn_match_fresh_solves(spec):
     assert solve_both(g, P3) == fresh_p3
 
 
-@pytest.mark.parametrize("fam", [P3, K3_P4], ids=["P3", "K3+P4"])
+@pytest.mark.parametrize("fam", [P4, K3_P4], ids=["P4", "K3+P4"])
 def test_closure_memo_closes_each_pre_mask_once(monkeypatch, fam):
     # a child's closure depends only on its pre-closure mask marked | N[x],
     # so in search mode both starts of one solve_both close each such
