@@ -1,10 +1,12 @@
 """Deliberately naive reference computations used as ground truth.
 
 Everything here trades speed for independence: isolation numbers come from
-subset enumeration, game values from unmemoized tree recursion. The game
-oracle shares the rulebook (marking closure, move legality and marking
-updates) but nothing from the solver's search; like the solver, it closes
-a start's marks before playing from it.
+subset enumeration, each set tested by the pattern matcher on all of
+G - N[S] (the definition, not the closure's per-component absorption),
+and game values from unmemoized tree recursion. The game oracle shares
+the rulebook (marking closure, move legality and marking updates) but
+nothing from the solver's search; like the solver, it closes a start's
+marks before playing from it.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import BudgetExceeded, TerminalState
-from .graph import Graph, as_mask, closed_neighborhood, components, mask_of
+from .graph import Graph, as_mask, closed_neighborhood, mask_of
 from .rules import (
     ForbiddenFamily,
     MarkState,
     close_marks,
+    contains_pattern,
     initial_closure,
-    is_forbidden_component,
     updated_marks,
 )
 from .solver import Mover
@@ -31,16 +33,13 @@ MAX_NAIVE_ORDER = 7
 
 
 def is_isolating(g: Graph, fam: ForbiddenFamily, s: int | Iterable[int]) -> bool:
-    """True when every component of G - N[s] avoids all family patterns.
+    """True when G - N[s] contains no family pattern as a subgraph.
 
     Computed directly from the definition (no marking machinery), so it
     serves as the independent end-of-game check.
     """
-    dominated = closed_neighborhood(g, as_mask(s))
-    rest = g.full_mask & ~dominated
-    return all(
-        is_forbidden_component(g, comp, fam) for comp in components(g, rest)
-    )
+    rest = g.full_mask & ~closed_neighborhood(g, as_mask(s))
+    return not any(contains_pattern(g, rest, p) for p in fam.patterns)
 
 
 @dataclass(frozen=True)

@@ -1,34 +1,32 @@
 """Forbidden-family semantics, marking closure, and move legality.
 
-A component is *quiet* for a family when it contains none of the family's
-patterns as a subgraph; quiet components are dead for the rest of the game,
-so their vertices are absorbed into the marked set. A vertex is playable
-exactly when its closed neighborhood still has an unmarked vertex, and a
-move on ``x`` marks ``N[x]`` plus every component that goes quiet as a
-result. The marked set is kept closed at all times, so every unmarked
-component is live before a move. A move on ``x`` can only quiet the
-components that meet ``N[N[x]]``: any other component has no neighbor in
-``N[x]``, so it was already a live component before the move. The search
-therefore re-checks only those (:func:`close_near`); :func:`close_marks`
-is the same body run over the whole graph, for marks of unknown history.
-Two family modes decide quietness from unmarked degrees alone, a few bit
-operations per vertex of ``near`` with no component search. In edge mode
-(a single-edge pattern, as in K2) a component is quiet exactly when it
-is one vertex. In pair mode (no pattern below order 3, and one of order
-3 with at most two edges, as P3) it is quiet exactly when it has at most
-two vertices, because every connected graph on three or more vertices
-contains P3 and hence that pattern. Every other family is in
-subgraph-search mode. There, whether a component is quiet depends only
-on the graph, the family and the component's vertex mask, so
-:func:`close_near` reads and fills a ``quiet`` dict keyed by that mask:
-the solver keeps one per search context, which ``solve_both`` shares
-between its two starts, and subgraph search runs at most once per
-distinct component. A child's whole closure equals
-``close_marks(marked | N[x])``, so it too depends only on that
-pre-closure mask, and in subgraph-search mode the solver memoises
-:func:`close_near` by it as well. Edge and pair mode are not memoised:
-their closure is a few bit operations per child, and a memo entry per
-child costs more memory than the lookup saves time.
+Every pattern is a connected graph with at least one vertex (the family
+rejects any other), so G - N[S] holds a pattern exactly when one of its
+components does. A component is *quiet* when it holds no pattern; quiet
+components are dead for the rest of the game, so their vertices are
+absorbed into the marked set. A vertex is playable exactly when its
+closed neighborhood still has an unmarked vertex, and a move on ``x``
+marks ``N[x]`` plus every component that goes quiet as a result. The
+marked set is kept closed, so every unmarked component is live before a
+move, and a move on ``x`` can only quiet the components that meet
+``N[N[x]]``: any other has no neighbor in ``N[x]``. The search therefore
+re-checks only those (:func:`close_near`); :func:`close_marks` is the
+same body run over the whole graph, for marks of unknown history. With
+K2 (edge mode) a component is quiet exactly when it is one vertex; with
+P3 and neither smaller pattern (pair mode) when it has at most two
+vertices, since every connected graph on three or more vertices contains
+P3. Both modes read unmarked degrees alone, a few bit operations per
+vertex of ``near``. Every other family is in subgraph-search mode, where
+whether a component is quiet depends only on the graph, the family and
+the component's vertex mask, so :func:`close_near` reads and fills a
+``quiet`` dict keyed by that mask: the solver keeps one per search
+context, which ``solve_both`` shares between its two starts, and subgraph
+search runs at most once per distinct component. A closed set's child
+closure equals ``close_marks(marked | N[x])``, so it too depends only on
+that pre-closure mask, and in subgraph-search mode the solver memoises
+the closure of its root and of every child by it. Edge and pair mode are
+not memoised: their closure is a few bit operations per child, and a
+memo entry per child costs more memory than the lookup saves time.
 """
 
 from __future__ import annotations
@@ -40,19 +38,17 @@ from typing import Iterable
 from .errors import BadSpec, IllegalMove, PatternTooLarge
 from .families import make_family
 from .graph import (
-    Graph, as_mask, build_graph, component_of, iter_mask, mask_list, require_inside
+    Graph, as_mask, build_graph, component_of, is_connected, iter_mask, mask_list, require_inside
 )
 from .graph import components  # noqa: F401  (perfbench wraps rules.components)
 
 MAX_PATTERN_ORDER = 6
 
-# Family structure determines how absorption is computed:
-#   "none"  - some pattern has order <= 1, so no component is ever quiet
+# Patterns are connected, so K1, K2 and P3 decide how absorption is computed:
+#   "none"  - K1 is a pattern, so no component is ever quiet
 #   "all"   - empty family: every component is vacuously quiet
-#   "edge"  - a single-edge pattern is present: quiet <=> singleton component
-#   "pair"  - every pattern has order >= 3 and one has order 3 and at most 2
-#             edges, which every connected graph on 3+ vertices contains
-#             (P3): quiet <=> the component has at most two vertices
+#   "edge"  - K2 is a pattern: quiet <=> singleton component
+#   "pair"  - P3 but neither K1 nor K2: quiet <=> at most two vertices
 #   "search"- general case, decided per component by subgraph search
 _MODE_NONE, _MODE_ALL, _MODE_EDGE, _MODE_PAIR, _MODE_SEARCH = (
     "none", "all", "edge", "pair", "search"
@@ -61,8 +57,9 @@ _MODE_NONE, _MODE_ALL, _MODE_EDGE, _MODE_PAIR, _MODE_SEARCH = (
 
 @dataclass(frozen=True)
 class ForbiddenFamily:
-    """A set of small pattern graphs; components avoiding all of them are
-    absorbed. Patterns are capped at order 6 (containment-search budget)."""
+    """A set of small connected pattern graphs; components avoiding all of
+    them are absorbed. Patterns are capped at order 6 (containment-search
+    budget)."""
 
     patterns: tuple[Graph, ...]
     tag: str
@@ -74,15 +71,20 @@ class ForbiddenFamily:
                 raise PatternTooLarge(
                     f"pattern of order {p.n} exceeds {MAX_PATTERN_ORDER}"
                 )
-        if not self.patterns:
+            # absorbing whole quiet components meets the definition only
+            # when no pattern can straddle two of them
+            if not p.n or not is_connected(p):
+                edges = ",".join(f"{u}-{v}" for u, v in p.edges())
+                raise BadSpec(f"forbidden pattern custom:{p.n}:{edges} must be a "
+                              "connected graph with at least one vertex")
+        orders = {p.n for p in self.patterns}
+        if not orders:
             mode = _MODE_ALL
-        elif any(p.n <= 1 for p in self.patterns):
+        elif 1 in orders:
             mode = _MODE_NONE
-        elif any(p.n == 2 and p.num_edges == 1 for p in self.patterns):
+        elif 2 in orders:
             mode = _MODE_EDGE
-        elif all(p.n >= 3 for p in self.patterns) and any(
-            p.n == 3 and p.num_edges <= 2 for p in self.patterns
-        ):
+        elif any(p.n == 3 and p.num_edges == 2 for p in self.patterns):
             mode = _MODE_PAIR
         else:
             mode = _MODE_SEARCH
@@ -110,7 +112,7 @@ _NAMED_FAMILIES = {
 
 def parse_forbidden(text: str) -> ForbiddenFamily:
     """Parse the CLI family spec: ``K1``, ``K2``, ``P3``, or one or more
-    ``custom:<order>:<edge list>`` patterns separated by ``;``."""
+    connected ``custom:<order>:<edge list>`` patterns separated by ``;``."""
     text = text.strip()
     named = _NAMED_FAMILIES.get(text.upper())
     if named is not None:

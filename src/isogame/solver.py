@@ -12,21 +12,21 @@ sets ``lo = k + 1``, and a test the bounds already decide is answered from
 the table. The value is the least ``k`` whose test passes, counting up
 from 0. Optimal moves and principal lines are read with one test per
 child, lowest vertex first, so ties break toward the lowest vertex index
-and lines are reproducible. The root's marks are closed in full; each
-child is closed only around its move (``rules.close_near``), which is
+and lines are reproducible. The root's marks are closed over the whole
+graph; each child only around its move (``rules.close_near``), which is
 exact because its parent was closed. ``solve_both`` runs its two starts
-in one search context: they share the bounds table and the two memos of
-subgraph-search mode. The quiet memo maps a component mask to whether
-that component avoids every pattern, so each distinct component is
-searched once, however many states it appears in. The closure memo maps a
-pre-closure mask to its closure: the initial marks for a root, and
-``marked | N[x]`` for a child, since closing a closed parent's child
-equals ``close_marks(marked | N[x])``, which depends on that mask alone.
-It pays because the count-up from 0 expands a stored state once per
-test, and each expansion closes the same children again. Edge-mode (K2)
-and pair-mode (P3) closure is a few bit operations per child, so there
-the search binds ``close_near`` itself and both memos stay empty: their
-entries would cost more memory than they save time.
+in one search context: they share the bounds table and, in
+subgraph-search mode, two memos, through which the root closes as every
+child does. The quiet memo maps a component mask to whether it avoids
+every pattern, so each distinct component is searched once, however many
+states it appears in. The closure memo maps a pre-closure mask (the
+initial marks, or ``marked | N[x]`` for a child of a closed parent) to
+its closure, which depends on that mask alone. It pays because the
+count-up from 0 expands a stored state once per test, and each expansion
+closes the same children again. Edge-mode (K2) and pair-mode (P3)
+closure is a few bit operations per child, so there the search calls
+``close_marks`` and ``close_near`` directly and both memos stay empty:
+their entries would cost more memory than they save time.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import StateSpaceBudgetExceeded, TerminalState
 from .graph import Graph, as_mask, closed_neighborhood, encode_graph6, mask_list, mask_of
+from .graph import require_inside
 from .rules import ForbiddenFamily, MarkState, close_marks, close_near
 
 DEFAULT_MEMO_CAP = 1 << 24
@@ -97,9 +98,7 @@ def _search(
                 closed = closures[pre] = close_near(g, fam, pre, near, quiet)
             return closed
 
-        marked = closures.get(marks)
-        if marked is None:
-            marked = closures[marks] = close_marks(g, fam, marks)
+        marked = child(g, fam, require_inside(g, marks, "marks"), full, quiet)
     else:
         child = close_near
         marked = close_marks(g, fam, marks)

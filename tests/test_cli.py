@@ -92,6 +92,18 @@ def test_solve_rejects_out_of_range_marks(capsys):
     assert "out of range" in err
 
 
+def test_solve_rejects_a_disconnected_pattern(capsys):
+    # G - N[{2}] on path:6 is {0} and {4, 5}, which holds K2 + K1 although
+    # no component does, so per-component closure would answer wrongly
+    code, out, err = run_cli(
+        capsys, "solve", "--family", "path:6", "--forbidden", "custom:3:0-1",
+        "--start", "D",
+    )
+    assert code == 1
+    assert out == ""
+    assert "custom:3:0-1 must be a connected graph" in err
+
+
 def test_usage_error_exits_one(capsys):
     code, _, err = run_cli(capsys, "solve", "--start", "D")
     assert code == 1

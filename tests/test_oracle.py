@@ -32,6 +32,22 @@ def test_is_isolating_examples():
         assert not is_isolating(c6, K1, mask_of([v]))
 
 
+def test_is_isolating_shares_nothing_with_the_closure_rules(monkeypatch):
+    # the reference tests the definition on all of G - N[S], so it still
+    # answers when the closure's per-component verdict and split are gone
+    import isogame.oracle as oracle
+    import isogame.rules as rules
+
+    def unavailable(*args):
+        raise AssertionError("closure rules used by the reference")
+
+    for module in (oracle, rules):
+        for name in ("is_forbidden_component", "components", "close_near"):
+            monkeypatch.setattr(module, name, unavailable, raising=False)
+    assert isolation_number(cycle_graph(6), K2).size == 2
+    assert isolation_number(path_graph(7), K1).size == 3
+
+
 def test_isolation_number_examples():
     assert isolation_number(path_graph(5), K2).size == 1
     assert isolation_number(cycle_graph(6), K2).size == 2

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from isogame import (
+    BadSpec,
     IllegalMove,
     PatternTooLarge,
     apply_move,
@@ -31,6 +32,7 @@ from isogame import (
     initial_closure,
     is_forbidden_component,
     is_playable,
+    make_family,
     mask_list,
     mask_of,
     parse_forbidden,
@@ -266,7 +268,7 @@ def test_fast_absorption_paths_match_generic_search():
     # whole graph and around a move from a closed parent
     rng = Random(5)
     pool = [g for n in range(1, 7) for g in enumerate_connected(n)]
-    fams = (K1, K2, P3, parse_forbidden("custom:3:0-1"), parse_forbidden("custom:3:"))
+    fams = (K1, K2, P3, parse_forbidden("custom:2:0-1"), parse_forbidden("custom:3:0-1,1-2"))
     for fam in fams:
         assert fam.mode != "search"
         generic = ForbiddenFamily(fam.patterns, fam.tag)
@@ -290,19 +292,44 @@ def test_fast_absorption_paths_match_generic_search():
         ("K1", "none"),
         ("K2", "edge"),
         ("P3", "pair"),
-        ("custom:3:0-1", "pair"),
-        ("custom:3:", "pair"),
-        ("custom:3:0-1;custom:4:0-1,1-2,2-3", "pair"),
+        ("custom:1:", "none"),
+        ("custom:2:0-1", "edge"),
+        ("custom:3:0-1,1-2;custom:4:0-1,1-2,2-3", "pair"),
+        ("custom:4:0-1,1-2,2-3;custom:2:0-1", "edge"),
         ("custom:3:0-1,1-2,0-2", "search"),
-        ("custom:2:;custom:3:0-1,1-2", "search"),
         ("custom:4:0-1,1-2,2-3", "search"),
     ],
 )
 def test_family_mode_follows_the_smallest_patterns(spec, mode):
-    # "pair" needs every connected graph on three or more vertices to hold
-    # a pattern and no component of order <= 2 to hold one: a triangle
-    # alone misses P3, and a 2-vertex pattern already lives in an edge
+    # patterns are connected, and K1, K2 and P3 are the only connected
+    # graphs that every large enough component holds; "pair" needs P3,
+    # since a triangle alone misses it
     assert parse_forbidden(spec).mode == mode
+
+
+REJECTED = [
+    # (family spec, the first pattern it names that is not connected)
+    ("custom:0:", "custom:0:"),
+    ("custom:2:", "custom:2:"),
+    ("custom:3:", "custom:3:"),
+    ("custom:3:0-1", "custom:3:0-1"),
+    ("custom:4:0-1,2-3", "custom:4:0-1,2-3"),
+    ("custom:3:0-1,1-2;custom:3:0-1", "custom:3:0-1"),
+    ("custom:3:0-1;custom:4:0-1,1-2,2-3", "custom:3:0-1"),
+    ("custom:2:;custom:3:0-1,1-2", "custom:2:"),
+]
+
+
+@pytest.mark.parametrize("spec, bad", REJECTED, ids=[spec for spec, _ in REJECTED])
+def test_disconnected_or_empty_patterns_are_rejected(spec, bad):
+    # closure absorbs each pattern-free component whole, which matches the
+    # definition (no pattern in all of G - N[S]) only for connected patterns
+    message = f"forbidden pattern {bad} must be a connected graph"
+    with pytest.raises(BadSpec, match=message):
+        parse_forbidden(spec)
+    patterns = tuple(make_family(chunk) for chunk in spec.split(";"))
+    with pytest.raises(BadSpec, match=message):
+        ForbiddenFamily(patterns, spec)
 
 
 def test_parse_forbidden_specs():
@@ -312,8 +339,6 @@ def test_parse_forbidden_specs():
     fam = parse_forbidden("custom:3:0-1,1-2;custom:2:0-1")
     assert len(fam.patterns) == 2
     assert fam.patterns[0].n == 3
-    from isogame import BadSpec
-
     with pytest.raises(BadSpec):
         parse_forbidden("K9")
     # a bad custom pattern fails as the same custom spec does under --family

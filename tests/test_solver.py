@@ -314,16 +314,20 @@ def test_memo_cap_is_enforced():
 
 
 def test_memo_cap_bounds_the_closure_memo():
-    # under K3+P4 on cycle:12 both starts store 36 bounds, 90 quiet verdicts
-    # and 82 closures, so a cap of 60 is met by the search-mode memos
-    # alone, and a cap above all three gives the usual values
+    # under K3+P4 on cycle:12 both starts store 36 bounds, 91 quiet verdicts
+    # (the root's component among them) and 82 closures, so a cap of 60 or
+    # of 90 is met by the search-mode memos alone, and 91, the least cap
+    # that passes, gives the usual values
     g = make_family("cycle:12")
     memo, quiet, closures = {}, {}, {}
     for mover in (Mover.DOMINATOR, Mover.STALLER):
         solve(g, K3_P4, mover, memo=memo, quiet=quiet, closures=closures)
-    assert (len(memo), len(quiet), len(closures)) == (36, 90, 82)
-    with pytest.raises(StateSpaceBudgetExceeded, match="search-mode memos exceeded 60"):
-        solve_both(g, K3_P4, memo_cap=60)
+    assert (len(memo), len(quiet), len(closures)) == (36, 91, 82)
+    for cap in (60, 90):
+        with pytest.raises(
+            StateSpaceBudgetExceeded, match=f"search-mode memos exceeded {cap}"
+        ):
+            solve_both(g, K3_P4, memo_cap=cap)
     capped = solve_both(g, K3_P4, memo_cap=91)
     assert capped == solve_both(g, K3_P4)
     assert [r.value for r in capped] == [3, 2]
@@ -365,13 +369,15 @@ def test_partially_marked_solves():
 
 
 def test_marks_outside_the_graph_fail_loudly():
-    # every root closure goes through close_marks, which rejects marks the
-    # graph does not have instead of solving a state that cannot exist
+    # every root closure rejects marks the graph does not have instead of
+    # solving a state that cannot exist: close_marks does, and so does the
+    # solver's search-mode root, which closes through its memo instead
     g = path_graph(3)
     state = MarkState(path_graph(6), 1 << 5)
     calls = [
         lambda: solve(g, K2, Mover.DOMINATOR, [5]),
         lambda: solve_both(g, K2, [5]),
+        lambda: solve(g, K3_P4, Mover.DOMINATOR, [5]),
         lambda: optimal_moves(g, K2, state, Mover.DOMINATOR),
         lambda: naive_game_value(g, K2, state, Mover.DOMINATOR),
         lambda: naive_best_moves(g, K2, state, Mover.STALLER),
@@ -424,7 +430,8 @@ def test_negative_initial_marks_fail_loudly():
 def test_quiet_memo_searches_each_component_once_per_solve(monkeypatch):
     # a component's quiet verdict depends only on the graph, the family
     # and its vertex mask, so one solve runs subgraph search at most once
-    # per distinct component; edge mode and P3 never search at all
+    # per distinct component, the root's components included; edge mode
+    # and P3 never search at all
     from isogame import rules, solver
 
     searched = []
@@ -441,20 +448,25 @@ def test_quiet_memo_searches_each_component_once_per_solve(monkeypatch):
 
     monkeypatch.setattr(rules, "is_forbidden_component", counting_is_quiet)
     monkeypatch.setattr(solver, "solve", one_solve)
-    g = make_family("cycle:20")
-    d, s = solve_both(g, K3_P4)
-    assert (d.value, s.value) == (5, 5)
-    assert len(searched) == 2
-    for comps in searched:
-        assert comps
-        assert len(comps) == len(set(comps))
-    # both starts share one quiet memo, so none searches a component twice
-    both = searched[0] + searched[1]
-    assert len(both) == len(set(both))
-    for fam in (K2, P3):
+    cases = [
+        ("cycle:20", [], (5, 5), 250),
+        ("cycle:20", [0, 10], (3, 4), 90),
+        ("gh:3", [3, 15, 27], (9, 9), 42),
+    ]
+    for spec, marks, values, count in cases:
         searched.clear()
-        solve_both(g, fam)
-        assert searched == [[], []]
+        g = make_family(spec)
+        d, s = solve_both(g, K3_P4, marks)
+        assert (d.value, s.value) == values
+        assert len(searched) == 2
+        assert searched[0]
+        # both starts share one quiet memo, so none searches a component twice
+        both = searched[0] + searched[1]
+        assert len(both) == len(set(both)) == count
+        for fam in (K2, P3):
+            searched.clear()
+            solve_both(g, fam, marks)
+            assert searched == [[], []]
 
 
 def test_two_pattern_search_family_matches_naive_oracle():
