@@ -16,17 +16,19 @@ K2 (edge mode) a component is quiet exactly when it is one vertex; with
 P3 and neither smaller pattern (pair mode) when it has at most two
 vertices, since every connected graph on three or more vertices contains
 P3. Both modes read unmarked degrees alone, a few bit operations per
-vertex of ``near``. Every other family is in subgraph-search mode, where
-whether a component is quiet depends only on the graph, the family and
-the component's vertex mask, so :func:`close_near` reads and fills a
-``quiet`` dict keyed by that mask: the solver keeps one per search
-context, which ``solve_both`` shares between its two starts, and subgraph
-search runs at most once per distinct component. A closed set's child
-closure equals ``close_marks(marked | N[x])``, so it too depends only on
-that pre-closure mask, and in subgraph-search mode the solver memoises
-the closure of its root and of every child by it. Edge and pair mode are
-not memoised: their closure is a few bit operations per child, and a
-memo entry per child costs more memory than the lookup saves time.
+vertex of ``near``. Every other family, the empty one included, is in
+subgraph-search mode, where whether a component C is quiet depends only
+on the graph, the family and C's vertex mask. :func:`close_near` then
+reads and fills a ``closures`` dict that maps a vertex mask to its
+:func:`close_marks`, storing C's verdict as the closure of ``full ^ C``
+(the whole graph exactly when C is quiet). A closed set's child closure
+equals ``close_marks(marked | N[x])``, so it too depends only on that
+pre-closure mask, and the solver keeps one such dict per search context
+for the closure of its root, of every child and of every component:
+``solve_both`` shares it between its two starts, and subgraph search runs
+at most once per distinct component. Edge and pair mode are not
+memoised: their closure is a few bit operations per child, and a memo
+entry per child costs more memory than the lookup saves time.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Iterable
 from .errors import BadSpec, IllegalMove, PatternTooLarge
 from .families import make_family
 from .graph import (
-    Graph, as_mask, build_graph, component_of, is_connected, iter_mask, mask_list, require_inside
+    Graph, as_mask, build_graph, component_of, is_connected, iter_mask, require_inside
 )
 from .graph import components  # noqa: F401  (perfbench wraps rules.components)
 
@@ -46,13 +48,11 @@ MAX_PATTERN_ORDER = 6
 
 # Patterns are connected, so K1, K2 and P3 decide how absorption is computed:
 #   "none"  - K1 is a pattern, so no component is ever quiet
-#   "all"   - empty family: every component is vacuously quiet
 #   "edge"  - K2 is a pattern: quiet <=> singleton component
 #   "pair"  - P3 but neither K1 nor K2: quiet <=> at most two vertices
-#   "search"- general case, decided per component by subgraph search
-_MODE_NONE, _MODE_ALL, _MODE_EDGE, _MODE_PAIR, _MODE_SEARCH = (
-    "none", "all", "edge", "pair", "search"
-)
+#   "search"- every other family, the empty one included, decided per
+#             component by subgraph search
+_MODE_NONE, _MODE_EDGE, _MODE_PAIR, _MODE_SEARCH = "none", "edge", "pair", "search"
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,7 @@ class ForbiddenFamily:
                 raise BadSpec(f"forbidden pattern custom:{p.n}:{edges} must be a "
                               "connected graph with at least one vertex")
         orders = {p.n for p in self.patterns}
-        if not orders:
-            mode = _MODE_ALL
-        elif 1 in orders:
+        if 1 in orders:
             mode = _MODE_NONE
         elif 2 in orders:
             mode = _MODE_EDGE
@@ -135,20 +133,9 @@ def contains_pattern(g: Graph, within: int, pattern: Graph) -> bool:
         raise PatternTooLarge(f"pattern of order {pattern.n} exceeds {MAX_PATTERN_ORDER}")
     require_inside(g, within, "vertices")
     k = pattern.n
-    if k == 0:
-        return True
-    avail = mask_list(within)
-    if len(avail) < k:
+    if within.bit_count() < k:
         return False
-    if pattern.num_edges == 0:
-        return True  # k distinct vertices suffice
-    order, pat_deg = _pattern_plan(pattern)
-    # host degrees inside the induced subgraph, for degree pruning
-    host_deg = {v: (g.adj[v] & within).bit_count() for v in avail}
-    top = sorted(host_deg.values(), reverse=True)[:k]
-    if any(t < p for t, p in zip(top, pat_deg)):
-        return False
-
+    order = _matching_order(pattern)
     assigned = [-1] * k
     used = 0
 
@@ -165,7 +152,8 @@ def contains_pattern(g: Graph, within: int, pattern: Graph) -> bool:
             if earlier >> q & 1:
                 cands &= g.adj[assigned[q]]
         for v in iter_mask(cands):
-            if host_deg[v] < want:
+            # a host vertex short of p's degree inside ``within`` cannot carry p
+            if (g.adj[v] & within).bit_count() < want:
                 continue
             assigned[p] = v
             used |= 1 << v
@@ -179,17 +167,11 @@ def contains_pattern(g: Graph, within: int, pattern: Graph) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _pattern_plan(pattern: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The pattern's matching order and its degrees, highest first; built
-    once per pattern, since closure searches the same few patterns."""
-    degrees = tuple(sorted((pattern.degree(i) for i in range(pattern.n)), reverse=True))
-    return tuple(_matching_order(pattern)), degrees
-
-
-def _matching_order(pattern: Graph) -> list[int]:
+def _matching_order(pattern: Graph) -> tuple[int, ...]:
     """Pattern vertices ordered so each one touches an earlier vertex when
     its component allows it, highest degree first. Keeps the backtracking
-    anchored instead of placing floaters early."""
+    anchored instead of placing floaters early; built once per pattern,
+    since closure searches the same few patterns."""
     remaining = set(range(pattern.n))
     order: list[int] = []
     placed_mask = 0
@@ -200,7 +182,7 @@ def _matching_order(pattern: Graph) -> list[int]:
         order.append(v)
         placed_mask |= 1 << v
         remaining.remove(v)
-    return order
+    return tuple(order)
 
 
 def is_forbidden_component(g: Graph, comp: int, fam: ForbiddenFamily) -> bool:
@@ -222,16 +204,17 @@ def close_marks(g: Graph, fam: ForbiddenFamily, marked: int) -> int:
 
 
 def close_near(
-    g: Graph, fam: ForbiddenFamily, marked: int, near: int, quiet: dict[int, bool]
+    g: Graph, fam: ForbiddenFamily, marked: int, near: int, closures: dict[int, int]
 ) -> int:
     """Absorb the quiet components of the unmarked part that meet ``near``.
 
     Equals :func:`close_marks` when every unmarked component that misses
     ``near`` is live, e.g. after ``marked = closed | N[x]`` for a closed
-    set and ``near = N[N[x]]``. ``quiet`` maps a component mask to its
-    :func:`is_forbidden_component` verdict; it is read and filled in
-    subgraph-search mode only, and must only be shared by calls on one
-    ``g`` and ``fam``.
+    set and ``near = N[N[x]]``. ``closures`` maps a vertex mask to its
+    :func:`close_marks`; in subgraph-search mode a component C's verdict
+    is read from and stored as the closure of ``full ^ C``, the whole graph
+    exactly when C is quiet. Other modes leave it alone. It must only be
+    shared by calls on one ``g`` and ``fam``.
     """
     mode = fam.mode
     if mode == _MODE_EDGE:
@@ -262,21 +245,20 @@ def close_near(
                 rest &= ~nb
             rest ^= low
         return marked | extra
+    if mode == _MODE_NONE:
+        return marked
+    # grow only the components that meet ``near``, one seed at a time
     full = g.full_mask
     active = full & ~marked
-    if not active or mode == _MODE_NONE:
-        return marked
-    if mode == _MODE_ALL:
-        return full
-    # grow only the components that meet ``near``, one seed at a time
     out = marked
     seeds = near & active
     while seeds:
         comp = component_of(g, seeds & -seeds, active)
-        verdict = quiet.get(comp)
-        if verdict is None:
-            verdict = quiet[comp] = is_forbidden_component(g, comp, fam)
-        if verdict:
+        others = full ^ comp
+        closed = closures.get(others)
+        if closed is None:
+            closed = closures[others] = full if is_forbidden_component(g, comp, fam) else others
+        if closed == full:
             out |= comp
         seeds &= ~comp
     return out

@@ -16,17 +16,17 @@ and lines are reproducible. The root's marks are closed over the whole
 graph; each child only around its move (``rules.close_near``), which is
 exact because its parent was closed. ``solve_both`` runs its two starts
 in one search context: they share the bounds table and, in
-subgraph-search mode, two memos, through which the root closes as every
-child does. The quiet memo maps a component mask to whether it avoids
-every pattern, so each distinct component is searched once, however many
-states it appears in. The closure memo maps a pre-closure mask (the
-initial marks, or ``marked | N[x]`` for a child of a closed parent) to
-its closure, which depends on that mask alone. It pays because the
+subgraph-search mode, the closure memo, through which the root closes as
+every child does. The memo maps a vertex mask to its closure, which
+depends on that mask alone: a pre-closure mask (the initial marks, or
+``marked | N[x]`` for a child of a closed parent), and ``full ^ C`` for
+each component C that closure has searched, so each distinct component
+is searched once, however many states it appears in. It pays because the
 count-up from 0 expands a stored state once per test, and each expansion
 closes the same children again. Edge-mode (K2) and pair-mode (P3)
 closure is a few bit operations per child, so there the search calls
-``close_marks`` and ``close_near`` directly and both memos stay empty:
-their entries would cost more memory than they save time.
+``close_marks`` and ``close_near`` directly and the memo stays empty: its
+entries would cost more memory than they save time.
 """
 
 from __future__ import annotations
@@ -68,16 +68,14 @@ def _search(
     marks: int,
     dom_to_move: bool,
     table: dict[tuple[int, bool], tuple[int, int]],
-    quiet: dict[int, bool],
     closures: dict[int, int],
     memo_cap: int,
 ) -> tuple[int, int, Callable[[int, bool, int], Iterator[tuple[int, int]]]]:
     """One solve's context: close ``marks``, count the value of that state
     up from 0, and return ``(closed marks, value, optimal_children)``.
     ``at_most`` and ``optimal_children`` share one move table, the bounds
-    ``table``, the ``quiet`` memo (component mask -> quiet verdict) and the
-    ``closures`` memo (mask -> its closure). The three dicts hold only for
-    this ``g`` and ``fam``; several starts may share them."""
+    ``table`` and the ``closures`` memo (mask -> its closure). Both dicts
+    hold only for this ``g`` and ``fam``; several starts may share them."""
     full = g.full_mask
     # per vertex x: what playing it marks, N[x], and where closure can act, N[N[x]]
     moves = [(hit, closed_neighborhood(g, hit)) for hit in g.closed]
@@ -88,17 +86,15 @@ def _search(
     # arguments so that edge and pair mode call close_near with no wrapper
     if fam.mode == "search":
 
-        def child(g: Graph, fam: ForbiddenFamily, pre: int, near: int, quiet: dict) -> int:
+        def child(g: Graph, fam: ForbiddenFamily, pre: int, near: int, closures: dict) -> int:
             closed = closures.get(pre)
             if closed is None:
-                if len(closures) >= memo_cap or len(quiet) >= memo_cap:
-                    raise StateSpaceBudgetExceeded(
-                        f"search-mode memos exceeded {memo_cap} entries"
-                    )
-                closed = closures[pre] = close_near(g, fam, pre, near, quiet)
+                if len(closures) >= memo_cap:
+                    raise StateSpaceBudgetExceeded(f"closure memo exceeded {memo_cap} entries")
+                closed = closures[pre] = close_near(g, fam, pre, near, closures)
             return closed
 
-        marked = child(g, fam, require_inside(g, marks, "marks"), full, quiet)
+        marked = child(g, fam, require_inside(g, marks, "marks"), full, closures)
     else:
         child = close_near
         marked = close_marks(g, fam, marks)
@@ -119,7 +115,7 @@ def _search(
         unmarked = full & ~marked
         for hit, near in moves:
             if hit & unmarked and at_most(
-                child(g, fam, marked | hit, near, quiet), not dom_to_move, k - 1
+                child(g, fam, marked | hit, near, closures), not dom_to_move, k - 1
             ) is dom_to_move:
                 passed = dom_to_move
                 break
@@ -137,7 +133,7 @@ def _search(
         child tells whether it attains the value."""
         for x, (hit, near) in enumerate(moves):
             if hit & ~marked:
-                closed = child(g, fam, marked | hit, near, quiet)
+                closed = child(g, fam, marked | hit, near, closures)
                 if (
                     at_most(closed, False, value - 1)
                     if dom_to_move
@@ -163,7 +159,7 @@ def optimal_moves(
     after closing the state's marks."""
     dom = mover is Mover.DOMINATOR
     marked, value, optimal_children = _search(
-        g, fam, state.marked, dom, {}, {}, {}, memo_cap
+        g, fam, state.marked, dom, {}, {}, memo_cap
     )
     if marked == g.full_mask:
         raise TerminalState("no moves from a fully marked graph")
@@ -178,19 +174,17 @@ def solve(
     *,
     memo_cap: int = DEFAULT_MEMO_CAP,
     memo: dict | None = None,
-    quiet: dict | None = None,
     closures: dict | None = None,
 ) -> GameResult:
     """Close the initial marks, find the value, and read the principal line
     with one test per child. A shared ``memo`` (the bounds table) amortizes
     several starts on one graph and family; entries only ever tighten, so
-    reuse is safe. ``quiet`` and ``closures`` are the search-mode memos,
-    shared the same way and only on the same graph and family."""
+    reuse is safe. ``closures`` is the search-mode closure memo, shared
+    the same way and only on the same graph and family."""
     dom = start_player is Mover.DOMINATOR
     marked, value, optimal_children = _search(
         g, fam, as_mask(initial_marks), dom,
         {} if memo is None else memo,
-        {} if quiet is None else quiet,
         {} if closures is None else closures,
         memo_cap,
     )
@@ -210,10 +204,12 @@ def solve_both(
     memo_cap: int = DEFAULT_MEMO_CAP,
 ) -> tuple[GameResult, GameResult]:
     """Dominator-start and Staller-start results sharing one search context:
-    one bounds table, one quiet memo and one closure memo."""
-    shared = {"memo_cap": memo_cap, "memo": {}, "quiet": {}, "closures": {}}
-    d = solve(g, fam, Mover.DOMINATOR, initial_marks, **shared)
-    s = solve(g, fam, Mover.STALLER, initial_marks, **shared)
+    one bounds table and one closure memo. The marks are read once, so a
+    one-shot iterable serves both starts."""
+    marks = as_mask(initial_marks)
+    shared = {"memo_cap": memo_cap, "memo": {}, "closures": {}}
+    d = solve(g, fam, Mover.DOMINATOR, marks, **shared)
+    s = solve(g, fam, Mover.STALLER, marks, **shared)
     return d, s
 
 

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every stated tolerance is exact and every runtime budget is asserted.
 """
 
+import hashlib
 import time
 from random import Random
 
@@ -40,6 +41,7 @@ from isogame.harness import (
     path_table,
     run_check,
 )
+from isogame.cli import _rows_to_csv
 from isogame.rules import apply_move
 
 K1 = single_vertex_family()
@@ -244,6 +246,10 @@ def test_criterion_9_conjecture_sweep_order_8():
     witnesses = report.extremal[0]["equality_witnesses"]
     assert find_witness(witnesses, cycle_graph(6)) is not None
     assert find_witness(witnesses, path_graph(7)) is not None
+    # the behaviour fingerprint: these rows are what
+    # `isogame sweep --n-max 8 --format csv --reproducible` prints
+    digest = hashlib.sha256(_rows_to_csv(report.rows).encode()).hexdigest()
+    assert digest == "83dcc2ad36d2b7e3d10cdf88f756ca2210207d3994908e922e10df60cdb9612c"
     elapsed = time.perf_counter() - t0
     assert elapsed < 7200.0
     print(

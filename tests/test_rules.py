@@ -85,7 +85,7 @@ def test_contains_pattern_order_cap():
         contains_pattern(complete_graph(8), 255, complete_graph(7))
 
 
-@given(graphs(max_n=6), graphs(max_n=4), st.integers(0, 63))
+@given(graphs(max_n=7), graphs(max_n=6), st.integers(0, 127))
 def test_contains_pattern_matches_brute_force(g, pattern, within_bits):
     within = within_bits & g.full_mask
     assert contains_pattern(g, within, pattern) == brute_contains(g, within, pattern)
@@ -240,11 +240,11 @@ NEAR_FAMS = ALL_FAMS + (parse_forbidden("custom:3:0-1,1-2,0-2"),)
 def test_near_closure_after_a_move_equals_full_closure(gm):
     # the search closes each child only around N[N[x]] of its move; from a
     # closed set that must absorb exactly what full closure absorbs. One
-    # quiet memo serves every move from every state reachable from the
-    # drawn marks, as in one solve, so a wrong or stale verdict would show
+    # closure memo serves every move from every state reachable from the
+    # drawn marks, as in one solve, so a wrong or stale entry would show
     g, mask = gm
     for fam in NEAR_FAMS:
-        quiet = {}
+        closures = {}
         seen = {close_marks(g, fam, mask)}
         todo = list(seen)
         while todo:
@@ -253,13 +253,13 @@ def test_near_closure_after_a_move_equals_full_closure(gm):
                 hit = g.closed[x]
                 if not hit & ~m:
                     continue
-                child = close_near(g, fam, m | hit, closed_neighborhood(g, hit), quiet)
+                child = close_near(g, fam, m | hit, closed_neighborhood(g, hit), closures)
                 assert child == close_marks(g, fam, m | hit)
                 if child not in seen:
                     seen.add(child)
                     todo.append(child)
-        for comp, verdict in quiet.items():
-            assert verdict == is_forbidden_component(g, comp, fam)
+        for key, closed in closures.items():
+            assert closed == close_marks(g, fam, key)
 
 
 def test_fast_absorption_paths_match_generic_search():

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from isogame import (
+    ForbiddenFamily,
+    GameResult,
     IllegalMove,
     IsolationGameError,
     MarkState,
@@ -314,28 +316,27 @@ def test_memo_cap_is_enforced():
 
 
 def test_memo_cap_bounds_the_closure_memo():
-    # under K3+P4 on cycle:12 both starts store 36 bounds, 91 quiet verdicts
-    # (the root's component among them) and 82 closures, so a cap of 60 or
-    # of 90 is met by the search-mode memos alone, and 91, the least cap
-    # that passes, gives the usual values
+    # under K3+P4 on cycle:12 both starts store 36 bounds and 124 closures
+    # (of pre-closure masks and of each searched component's complement,
+    # the root's among them), so a cap of 60 or of 122 is met by the
+    # closure memo alone, and 123, the least cap that passes, gives the
+    # usual values
     g = make_family("cycle:12")
-    memo, quiet, closures = {}, {}, {}
+    memo, closures = {}, {}
     for mover in (Mover.DOMINATOR, Mover.STALLER):
-        solve(g, K3_P4, mover, memo=memo, quiet=quiet, closures=closures)
-    assert (len(memo), len(quiet), len(closures)) == (36, 91, 82)
-    for cap in (60, 90):
-        with pytest.raises(
-            StateSpaceBudgetExceeded, match=f"search-mode memos exceeded {cap}"
-        ):
+        solve(g, K3_P4, mover, memo=memo, closures=closures)
+    assert (len(memo), len(closures)) == (36, 124)
+    for cap in (60, 122):
+        with pytest.raises(StateSpaceBudgetExceeded, match=f"closure memo exceeded {cap}"):
             solve_both(g, K3_P4, memo_cap=cap)
-    capped = solve_both(g, K3_P4, memo_cap=91)
+    capped = solve_both(g, K3_P4, memo_cap=123)
     assert capped == solve_both(g, K3_P4)
     assert [r.value for r in capped] == [3, 2]
-    # P3 closes by bit steps, so its solves fill neither memo
-    memo, quiet, closures = {}, {}, {}
+    # P3 closes by bit steps, so its solves leave the closure memo empty
+    memo, closures = {}, {}
     for mover in (Mover.DOMINATOR, Mover.STALLER):
-        solve(g, P3, mover, memo=memo, quiet=quiet, closures=closures)
-    assert (len(memo), len(quiet), len(closures)) == (85, 0, 0)
+        solve(g, P3, mover, memo=memo, closures=closures)
+    assert (len(memo), len(closures)) == (85, 0)
 
 
 def test_result_record_schema():
@@ -429,7 +430,8 @@ def test_negative_initial_marks_fail_loudly():
 
 def test_quiet_memo_searches_each_component_once_per_solve(monkeypatch):
     # a component's quiet verdict depends only on the graph, the family
-    # and its vertex mask, so one solve runs subgraph search at most once
+    # and its vertex mask, and the closure memo keeps it as the closure of
+    # the component's complement, so one solve runs subgraph search at most once
     # per distinct component, the root's components included; edge mode
     # and P3 never search at all
     from isogame import rules, solver
@@ -460,7 +462,7 @@ def test_quiet_memo_searches_each_component_once_per_solve(monkeypatch):
         assert (d.value, s.value) == values
         assert len(searched) == 2
         assert searched[0]
-        # both starts share one quiet memo, so none searches a component twice
+        # both starts share one closure memo, so none searches a component twice
         both = searched[0] + searched[1]
         assert len(both) == len(set(both)) == count
         for fam in (K2, P3):
@@ -507,9 +509,9 @@ def test_closure_memo_closes_each_pre_mask_once(monkeypatch, fam):
     pre_masks = []
     close_near = solver.close_near
 
-    def counting_close_near(g, fam, marked, near, quiet):
+    def counting_close_near(g, fam, marked, near, closures):
         pre_masks.append(marked)
-        return close_near(g, fam, marked, near, quiet)
+        return close_near(g, fam, marked, near, closures)
 
     monkeypatch.setattr(solver, "close_near", counting_close_near)
     for spec in ("cycle:20", "gstar:complete:2", "path:13"):
@@ -517,6 +519,25 @@ def test_closure_memo_closes_each_pre_mask_once(monkeypatch, fam):
         d, s = solve_both(make_family(spec), fam)
         assert pre_masks
         assert len(pre_masks) == len(set(pre_masks)), spec
+
+
+def test_solve_both_reads_one_shot_marks_once():
+    # both starts must see the marks, so a one-shot iterable is read once
+    g = path_graph(7)
+    for fam in (K2, K3_P4):
+        assert solve_both(g, fam, iter([0])) == solve_both(g, fam, [0])
+    assert [r.value for r in solve_both(g, K2, iter([0]))] == [2, 2]
+
+
+def test_empty_family_closes_by_subgraph_search():
+    # with no pattern every component is vacuously quiet, which subgraph
+    # search decides with no mode of its own: one search empties the game
+    empty = ForbiddenFamily((), "empty")
+    assert empty.mode == "search"
+    g = cycle_graph(5)
+    for marks in (0, 1, 0b10100, g.full_mask):
+        assert close_marks(g, empty, marks) == g.full_mask
+    assert solve_both(g, empty, [2]) == (GameResult(0, None, ()), GameResult(0, None, ()))
 
 
 def test_solve_both_equals_two_fresh_solves():
