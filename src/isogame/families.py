@@ -186,7 +186,7 @@ def _make(text: str, if_sequence: str) -> Graph:
     text for a spec that names a sequence."""
     tag, args = _split(text)
     if tag == "gstar":
-        if not args:
+        if not args or not args[0].strip():
             raise BadSpec("gstar needs a base spec, e.g. gstar:complete:1")
         return g_star(_make(":".join(args), "gstar base must be a single graph"))
     if tag == "custom":

@@ -9,35 +9,42 @@ closed neighborhood still has an unmarked vertex, and a move on ``x``
 marks ``N[x]`` plus every component that goes quiet as a result. The
 marked set is kept closed, so every unmarked component is live before a
 move, and a move on ``x`` can only quiet the components that meet
-``N[N[x]]``: any other has no neighbor in ``N[x]``. The search therefore
-re-checks only those (:func:`close_near`); :func:`close_marks` is the
-same body run over the whole graph, for marks of unknown history. With
-K2 (edge mode) a component is quiet exactly when it is one vertex; with
-P3 and neither smaller pattern (pair mode) when it has at most two
-vertices, since every connected graph on three or more vertices contains
-P3. Both modes read unmarked degrees alone, a few bit operations per
-vertex of ``near``. Every other family, the empty one included, is in
-subgraph-search mode, where whether a component C is quiet depends only
-on the graph, the family and C's vertex mask. :func:`close_near` then
-reads and fills a ``closures`` dict that maps a vertex mask to its
-:func:`close_marks`, storing C's verdict as the closure of ``full ^ C``
-(the whole graph exactly when C is quiet). A closed set's child closure
-equals ``close_marks(marked | N[x])``, so it too depends only on that
-pre-closure mask, and the solver keeps one such dict per search context
-for the closure of its root, of every child and of every component:
-``solve_both`` shares it between its two starts, and subgraph search runs
-at most once per distinct component. Edge and pair mode are not
-memoised: their closure is a few bit operations per child, and a memo
-entry per child costs more memory than the lookup saves time.
+``N[N[x]]``: any other has no neighbor in ``N[x]``.
+
+All closure runs through :func:`closer`, which reads the family's mode
+once per search context and returns ``close(marked, near)``: absorb the
+quiet components that meet ``near``. That equals full closure whenever
+every unmarked component that misses ``near`` is live, as for any marks
+with ``near`` the whole graph (:func:`close_marks`), or for a closed
+set's child ``closed | N[x]`` with ``near = N[N[x]]``. With K2 (edge
+mode) a component is quiet exactly when it is one vertex; with P3 and
+neither smaller pattern (pair mode) when it has at most two vertices,
+since every connected graph on three or more vertices contains P3. Both
+read unmarked degrees alone, a few bit operations per vertex of
+``near``, and keep no memo: an entry per child would cost more memory
+than the lookup saves time.
+
+Every other family, the empty one included, is in subgraph-search mode,
+where closure depends only on the graph, the family and the pre-closure
+mask. There ``close`` owns the *closure memo*, which maps a vertex mask
+to its :func:`close_marks`. It looks the pre-closure mask up first; on a
+miss it grows the components that meet ``near``, reads or stores each
+component C's verdict as the closure of ``full ^ C`` (the whole graph
+exactly when C is quiet), then stores the result. So each distinct
+component is searched once, and each child closed once, however many
+states and tests reach it. A pre-closure entry is valid only under the
+precondition above, which the solver meets: its root closes over the
+whole graph and every child from a closed parent. ``solve_both`` shares
+the memo between its two starts, and ``memo_cap`` bounds it exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .errors import BadSpec, IllegalMove, PatternTooLarge
+from .errors import BadSpec, IllegalMove, PatternTooLarge, StateSpaceBudgetExceeded
 from .families import make_family
 from .graph import (
     Graph, as_mask, build_graph, component_of, is_connected, iter_mask, require_inside
@@ -200,68 +207,87 @@ def close_marks(g: Graph, fam: ForbiddenFamily, marked: int) -> int:
     outside the graph raise, since no closure or move can reach them.
     """
     require_inside(g, marked, "marks")
-    return close_near(g, fam, marked, g.full_mask, {})
+    # a fresh memo holds at most one entry per component plus the result
+    return closer(g, fam, {}, g.n + 1)(marked, g.full_mask)
 
 
-def close_near(
-    g: Graph, fam: ForbiddenFamily, marked: int, near: int, closures: dict[int, int]
-) -> int:
-    """Absorb the quiet components of the unmarked part that meet ``near``.
-
-    Equals :func:`close_marks` when every unmarked component that misses
-    ``near`` is live, e.g. after ``marked = closed | N[x]`` for a closed
-    set and ``near = N[N[x]]``. ``closures`` maps a vertex mask to its
-    :func:`close_marks`; in subgraph-search mode a component C's verdict
-    is read from and stored as the closure of ``full ^ C``, the whole graph
-    exactly when C is quiet. Other modes leave it alone. It must only be
-    shared by calls on one ``g`` and ``fam``.
-    """
+def closer(
+    g: Graph, fam: ForbiddenFamily, closures: dict[int, int], cap: int
+) -> Callable[[int, int], int]:
+    """Return ``close(marked, near)`` for one search context on ``g`` and
+    ``fam``, exact under the precondition in the module docstring. In
+    subgraph-search mode it reads and fills the closure memo ``closures``
+    and raises StateSpaceBudgetExceeded rather than store a key beyond
+    ``cap`` entries; other modes leave it alone."""
+    adj = g.adj
     mode = fam.mode
     if mode == _MODE_EDGE:
-        # quiet <=> isolated; ``near`` lies inside the graph, so
-        # ``near & ~marked`` is the unmarked part of it
-        unmarked = ~marked
-        extra = 0
-        rest = near & unmarked
-        while rest:
-            low = rest & -rest
-            if not g.adj[low.bit_length() - 1] & unmarked:
-                extra |= low
-            rest ^= low
-        return marked | extra
+
+        def close(marked: int, near: int) -> int:
+            # quiet <=> isolated; ``near`` lies inside the graph, so
+            # ``near & ~marked`` is the unmarked part of it
+            unmarked = ~marked
+            extra = 0
+            rest = near & unmarked
+            while rest:
+                low = rest & -rest
+                if not adj[low.bit_length() - 1] & unmarked:
+                    extra |= low
+                rest ^= low
+            return marked | extra
+
+        return close
     if mode == _MODE_PAIR:
-        # quiet <=> a vertex with no unmarked neighbor, or two vertices
-        # that are each other's only unmarked neighbor
-        unmarked = ~marked
-        extra = 0
-        rest = near & unmarked
-        while rest:
-            low = rest & -rest
-            nb = g.adj[low.bit_length() - 1] & unmarked
-            if not nb:
-                extra |= low
-            elif not nb & (nb - 1) and not g.adj[nb.bit_length() - 1] & unmarked & ~low:
-                extra |= low | nb
-                rest &= ~nb
-            rest ^= low
-        return marked | extra
+
+        def close(marked: int, near: int) -> int:
+            # quiet <=> a vertex with no unmarked neighbor, or two vertices
+            # that are each other's only unmarked neighbor
+            unmarked = ~marked
+            extra = 0
+            rest = near & unmarked
+            while rest:
+                low = rest & -rest
+                nb = adj[low.bit_length() - 1] & unmarked
+                if not nb:
+                    extra |= low
+                elif not nb & (nb - 1) and not adj[nb.bit_length() - 1] & unmarked & ~low:
+                    extra |= low | nb
+                    rest &= ~nb
+                rest ^= low
+            return marked | extra
+
+        return close
     if mode == _MODE_NONE:
-        return marked
-    # grow only the components that meet ``near``, one seed at a time
+        return lambda marked, near: marked
     full = g.full_mask
-    active = full & ~marked
-    out = marked
-    seeds = near & active
-    while seeds:
-        comp = component_of(g, seeds & -seeds, active)
-        others = full ^ comp
-        closed = closures.get(others)
-        if closed is None:
-            closed = closures[others] = full if is_forbidden_component(g, comp, fam) else others
-        if closed == full:
-            out |= comp
-        seeds &= ~comp
-    return out
+
+    def store(key: int, closed: int) -> int:
+        # a result's key is already held when its one component was stored
+        if len(closures) >= cap and key not in closures:
+            raise StateSpaceBudgetExceeded(f"closure memo exceeded {cap} entries")
+        closures[key] = closed
+        return closed
+
+    def close(marked: int, near: int) -> int:
+        out = closures.get(marked)
+        if out is not None:
+            return out
+        # grow only the components that meet ``near``, one seed at a time
+        active = full & ~marked
+        out = marked
+        seeds = near & active
+        while seeds:
+            comp = component_of(g, seeds & -seeds, active)
+            others = full ^ comp
+            closed = closures.get(others)
+            if closed is None:
+                closed = store(others, full if is_forbidden_component(g, comp, fam) else others)
+            if closed == full:
+                out |= comp
+            seeds &= ~comp
+        return store(marked, out)
+
+    return close
 
 
 @dataclass(frozen=True)

@@ -12,21 +12,11 @@ sets ``lo = k + 1``, and a test the bounds already decide is answered from
 the table. The value is the least ``k`` whose test passes, counting up
 from 0. Optimal moves and principal lines are read with one test per
 child, lowest vertex first, so ties break toward the lowest vertex index
-and lines are reproducible. The root's marks are closed over the whole
-graph; each child only around its move (``rules.close_near``), which is
-exact because its parent was closed. ``solve_both`` runs its two starts
-in one search context: they share the bounds table and, in
-subgraph-search mode, the closure memo, through which the root closes as
-every child does. The memo maps a vertex mask to its closure, which
-depends on that mask alone: a pre-closure mask (the initial marks, or
-``marked | N[x]`` for a child of a closed parent), and ``full ^ C`` for
-each component C that closure has searched, so each distinct component
-is searched once, however many states it appears in. It pays because the
-count-up from 0 expands a stored state once per test, and each expansion
-closes the same children again. Edge-mode (K2) and pair-mode (P3)
-closure is a few bit operations per child, so there the search calls
-``close_marks`` and ``close_near`` directly and the memo stays empty: its
-entries would cost more memory than they save time.
+and lines are reproducible. The root closes over the whole graph and
+each child only around its move, through one ``rules.closer`` per search
+context, which is exact because its parent was closed. ``solve_both``
+runs its two starts in one search context: they share the bounds table
+and the closure memo.
 """
 
 from __future__ import annotations
@@ -38,7 +28,8 @@ from typing import Callable, Iterable, Iterator
 from .errors import StateSpaceBudgetExceeded, TerminalState
 from .graph import Graph, as_mask, closed_neighborhood, encode_graph6, mask_list, mask_of
 from .graph import require_inside
-from .rules import ForbiddenFamily, MarkState, close_marks, close_near
+from .rules import ForbiddenFamily, MarkState, closer
+from .rules import close_marks  # noqa: F401  (perfbench wraps solver.close_marks)
 
 DEFAULT_MEMO_CAP = 1 << 24
 
@@ -81,23 +72,8 @@ def _search(
     moves = [(hit, closed_neighborhood(g, hit)) for hit in g.closed]
     # every move marks a new vertex, so a live state lasts 1..n moves
     default = (1, g.n)
-    # the root and each child are closed through the closure memo in search
-    # mode, directly in every cheaper mode; ``child`` takes close_near's
-    # arguments so that edge and pair mode call close_near with no wrapper
-    if fam.mode == "search":
-
-        def child(g: Graph, fam: ForbiddenFamily, pre: int, near: int, closures: dict) -> int:
-            closed = closures.get(pre)
-            if closed is None:
-                if len(closures) >= memo_cap:
-                    raise StateSpaceBudgetExceeded(f"closure memo exceeded {memo_cap} entries")
-                closed = closures[pre] = close_near(g, fam, pre, near, closures)
-            return closed
-
-        marked = child(g, fam, require_inside(g, marks, "marks"), full, closures)
-    else:
-        child = close_near
-        marked = close_marks(g, fam, marks)
+    close = closer(g, fam, closures, memo_cap)
+    marked = close(require_inside(g, marks, "marks"), full)
 
     def at_most(marked: int, dom_to_move: bool, k: int) -> bool:
         if marked == full:
@@ -115,7 +91,7 @@ def _search(
         unmarked = full & ~marked
         for hit, near in moves:
             if hit & unmarked and at_most(
-                child(g, fam, marked | hit, near, closures), not dom_to_move, k - 1
+                close(marked | hit, near), not dom_to_move, k - 1
             ) is dom_to_move:
                 passed = dom_to_move
                 break
@@ -133,7 +109,7 @@ def _search(
         child tells whether it attains the value."""
         for x, (hit, near) in enumerate(moves):
             if hit & ~marked:
-                closed = child(g, fam, marked | hit, near, closures)
+                closed = close(marked | hit, near)
                 if (
                     at_most(closed, False, value - 1)
                     if dom_to_move

@@ -110,8 +110,10 @@ def test_spec_language_errors():
         make_family("path:x")
     with pytest.raises(BadSpec):
         make_family("alltrees:4")  # sequence spec needs iter_family
-    with pytest.raises(BadSpec):
-        make_family("gstar")
+    # "gstar:" splits into one empty field, which names no base either
+    for spec in ("gstar", "gstar:", "gstar::complete:1"):
+        with pytest.raises(BadSpec, match="gstar needs a base spec"):
+            make_family(spec)
     with pytest.raises(BadSpec):
         make_family("custom:3:0-9")
     # a field the tag does not take is an error, never silently dropped

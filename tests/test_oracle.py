@@ -41,9 +41,10 @@ def test_is_isolating_shares_nothing_with_the_closure_rules(monkeypatch):
     def unavailable(*args):
         raise AssertionError("closure rules used by the reference")
 
-    for module in (oracle, rules):
-        for name in ("is_forbidden_component", "components", "close_near"):
-            monkeypatch.setattr(module, name, unavailable, raising=False)
+    # the names must exist in rules, so a rename cannot leave them unstubbed
+    for name in ("is_forbidden_component", "components", "closer"):
+        monkeypatch.setattr(rules, name, unavailable)
+        monkeypatch.setattr(oracle, name, unavailable, raising=False)
     assert isolation_number(cycle_graph(6), K2).size == 2
     assert isolation_number(path_graph(7), K1).size == 3
 

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from isogame import (
+    DEFAULT_MEMO_CAP,
     BadSpec,
     IllegalMove,
     PatternTooLarge,
@@ -43,7 +44,7 @@ from isogame import (
     three_path_family,
 )
 from isogame.graph import iter_mask
-from isogame.rules import ForbiddenFamily, MarkState, close_near
+from isogame.rules import ForbiddenFamily, MarkState, closer
 from strategies import graphs, graphs_with_masks
 
 K1 = single_vertex_family()
@@ -245,6 +246,7 @@ def test_near_closure_after_a_move_equals_full_closure(gm):
     g, mask = gm
     for fam in NEAR_FAMS:
         closures = {}
+        close = closer(g, fam, closures, DEFAULT_MEMO_CAP)
         seen = {close_marks(g, fam, mask)}
         todo = list(seen)
         while todo:
@@ -253,7 +255,7 @@ def test_near_closure_after_a_move_equals_full_closure(gm):
                 hit = g.closed[x]
                 if not hit & ~m:
                     continue
-                child = close_near(g, fam, m | hit, closed_neighborhood(g, hit), closures)
+                child = close(m | hit, closed_neighborhood(g, hit))
                 assert child == close_marks(g, fam, m | hit)
                 if child not in seen:
                     seen.add(child)
@@ -278,12 +280,11 @@ def test_fast_absorption_paths_match_generic_search():
             marks = rng.randrange(g.full_mask + 1)
             assert close_marks(g, fam, marks) == close_marks(g, generic, marks)
             closed = close_marks(g, generic, marks)
+            close = closer(g, fam, {}, DEFAULT_MEMO_CAP)
             for hit in g.closed:
                 if hit & ~closed:
                     near = closed_neighborhood(g, hit)
-                    assert close_near(g, fam, closed | hit, near, {}) == close_marks(
-                        g, generic, closed | hit
-                    )
+                    assert close(closed | hit, near) == close_marks(g, generic, closed | hit)
 
 
 @pytest.mark.parametrize(

@@ -318,25 +318,35 @@ def test_memo_cap_is_enforced():
 def test_memo_cap_bounds_the_closure_memo():
     # under K3+P4 on cycle:12 both starts store 36 bounds and 124 closures
     # (of pre-closure masks and of each searched component's complement,
-    # the root's among them), so a cap of 60 or of 122 is met by the
-    # closure memo alone, and 123, the least cap that passes, gives the
-    # usual values
+    # the root's among them). The cap is checked before every new key, so
+    # a cap of 60 or of 123 is met by the closure memo alone, and 124, the
+    # least cap that passes, gives the usual values
     g = make_family("cycle:12")
     memo, closures = {}, {}
     for mover in (Mover.DOMINATOR, Mover.STALLER):
         solve(g, K3_P4, mover, memo=memo, closures=closures)
     assert (len(memo), len(closures)) == (36, 124)
-    for cap in (60, 122):
+    for cap in (60, 123):
         with pytest.raises(StateSpaceBudgetExceeded, match=f"closure memo exceeded {cap}"):
             solve_both(g, K3_P4, memo_cap=cap)
-    capped = solve_both(g, K3_P4, memo_cap=123)
+    capped = solve_both(g, K3_P4, memo_cap=124)
     assert capped == solve_both(g, K3_P4)
     assert [r.value for r in capped] == [3, 2]
-    # P3 closes by bit steps, so its solves leave the closure memo empty
-    memo, closures = {}, {}
-    for mover in (Mover.DOMINATOR, Mover.STALLER):
-        solve(g, P3, mover, memo=memo, closures=closures)
-    assert (len(memo), len(closures)) == (85, 0)
+    # a child whose unmarked part is one component C shares the key full ^ C
+    # with C's own entry, so storing it adds no key: here too the least cap
+    # that passes is the number of entries both starts hold
+    for spec, held in (("cycle:5", 6), ("path:5", 8)):
+        small = make_family(spec)
+        with pytest.raises(StateSpaceBudgetExceeded, match=f"closure memo exceeded {held - 1} "):
+            solve_both(small, K3_P4, memo_cap=held - 1)
+        assert solve_both(small, K3_P4, memo_cap=held) == solve_both(small, K3_P4)
+    # K1, K2 and P3 close by bit steps, so their solves leave the closure
+    # memo empty
+    for fam, stored in ((K1, 289), (K2, 167), (P3, 85)):
+        memo, closures = {}, {}
+        for mover in (Mover.DOMINATOR, Mover.STALLER):
+            solve(g, fam, mover, memo=memo, closures=closures)
+        assert (len(memo), len(closures)) == (stored, 0), fam.tag
 
 
 def test_result_record_schema():
@@ -503,22 +513,23 @@ def test_search_families_solved_in_turn_match_fresh_solves(spec):
 def test_closure_memo_closes_each_pre_mask_once(monkeypatch, fam):
     # a child's closure depends only on its pre-closure mask marked | N[x],
     # so in search mode both starts of one solve_both close each such
-    # mask at most once, however many tests expand its parent
-    from isogame import solver
+    # mask at most once, however many tests expand its parent: no
+    # component is grown twice from the same seed in the same unmarked part
+    from isogame import rules
 
-    pre_masks = []
-    close_near = solver.close_near
+    grown = []
+    component_of = rules.component_of
 
-    def counting_close_near(g, fam, marked, near, closures):
-        pre_masks.append(marked)
-        return close_near(g, fam, marked, near, closures)
+    def counting_component_of(g, seed, active):
+        grown.append((seed, active))
+        return component_of(g, seed, active)
 
-    monkeypatch.setattr(solver, "close_near", counting_close_near)
+    monkeypatch.setattr(rules, "component_of", counting_component_of)
     for spec in ("cycle:20", "gstar:complete:2", "path:13"):
-        pre_masks.clear()
-        d, s = solve_both(make_family(spec), fam)
-        assert pre_masks
-        assert len(pre_masks) == len(set(pre_masks)), spec
+        grown.clear()
+        solve_both(make_family(spec), fam)
+        assert grown
+        assert len(grown) == len(set(grown)), spec
 
 
 def test_solve_both_reads_one_shot_marks_once():
