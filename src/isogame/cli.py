@@ -39,7 +39,8 @@ def _build_parser() -> _Parser:
     src.add_argument("--graph6-file", help="file with one graph6 record per line")
     src.add_argument("--family", help="family spec, e.g. cycle:6 or gstar:complete:2")
     p_solve.add_argument("--forbidden", default="K2",
-                         help="K1, K2, P3, or custom:<order>:<edges>[;...]")
+                         help="patterns joined by ';', each K1, K2, P3 or a "
+                              "family spec, e.g. complete:3;path:4")
     p_solve.add_argument("--start", choices=("D", "S"), default="D")
     p_solve.add_argument("--marks", default="",
                          help="comma-separated pre-marked vertices (v4 or 3)")

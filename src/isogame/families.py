@@ -1,9 +1,9 @@
 """Named graph families and the textual family-spec mini-language.
 
-Specs use the ``tag:params`` form accepted by the CLI: ``path:n``,
-``cycle:n``, ``complete:n``, ``star:r``, ``hgraph``, ``gstar:<base spec>``,
-``gtriangles:n``, ``ftriangles:n:k``, ``gh:n``, ``alltrees:n``, and
-``custom:n:u-v,u-v,...``.
+Specs use the ``tag:params`` form that the CLI reads for ``--family`` and
+for each ``--forbidden`` pattern: ``path:n``, ``cycle:n``, ``complete:n``,
+``star:r``, ``hgraph``, ``gstar:<base spec>``, ``gtriangles:n``,
+``ftriangles:n:k``, ``gh:n``, ``alltrees:n``, and ``custom:n:u-v,u-v,...``.
 """
 
 from __future__ import annotations
@@ -117,10 +117,15 @@ def g_h(n: int) -> Graph:
 #: hgraph/gh marks may be given as drawing names: v1..v12 -> 0..11.
 def vertex_name_to_index(name: str) -> int:
     name = name.strip()
-    if name.startswith("v") and name[1:].isdigit():
-        index = int(name[1:]) - 1
-    else:
-        index = int(name)
+    try:
+        if name.startswith("v") and name[1:].isdigit():
+            index = int(name[1:]) - 1
+        else:
+            index = int(name)
+    except ValueError:
+        raise BadSpec(
+            f"vertex name {name!r} is neither a drawing name like v1 nor an integer index"
+        ) from None
     if index < 0:
         raise BadSpec(f"vertex name {name!r} is out of range; names start at v1 or 0")
     return index
@@ -181,17 +186,22 @@ def _parse_edge_list(text: str) -> list[tuple[int, int]]:
     return edges
 
 
-def _make(text: str, if_sequence: str) -> Graph:
-    """Build the single graph a spec names; ``if_sequence`` is the error
-    text for a spec that names a sequence."""
-    tag, args = _split(text)
+def make_family(spec: str) -> Graph:
+    """Build the single graph a family spec names.
+
+    A ``gstar`` base is itself a spec, built here too. A spec that names a
+    sequence (``alltrees``) is an error wherever it appears, as the whole
+    spec, a ``gstar`` base or a forbidden pattern; :func:`iter_family`
+    yields the sequence instead.
+    """
+    tag, args = _split(spec)
     if tag == "gstar":
         if not args or not args[0].strip():
             raise BadSpec("gstar needs a base spec, e.g. gstar:complete:1")
-        return g_star(_make(":".join(args), "gstar base must be a single graph"))
+        return g_star(make_family(":".join(args)))
     if tag == "custom":
-        _at_most(text, tag, args, 2)
-        (n,) = _ints(text, tag, args[:1], ("order",))
+        _at_most(spec, tag, args, 2)
+        (n,) = _ints(spec, tag, args[:1], ("order",))
         edges = _parse_edge_list(args[1] if len(args) > 1 else "")
         try:
             return build_graph(n, edges, ":".join([tag, *args]))
@@ -201,17 +211,9 @@ def _make(text: str, if_sequence: str) -> Graph:
         raise BadSpec(f"unknown family tag {tag!r}")
     build, names = _INT_TAGS[tag]
     if tag == "alltrees":
-        _at_most(text, tag, args, len(names))
-        raise BadSpec(if_sequence)
-    return build(*_ints(text, tag, args, names))
-
-
-def make_family(spec: str) -> Graph:
-    """Build the single graph named by a family spec.
-
-    ``alltrees`` denotes a sequence, not one graph; use :func:`iter_family`.
-    """
-    return _make(spec, "family 'alltrees' is a sequence; use iter_family")
+        _at_most(spec, tag, args, len(names))
+        raise BadSpec(f"{spec.strip()!r} names a sequence of graphs, not one graph")
+    return build(*_ints(spec, tag, args, names))
 
 
 def iter_family(spec: str) -> Iterator[Graph]:

@@ -570,9 +570,9 @@ def run_check(kind: CheckKind | str, **params) -> CheckReport:
     """Run one registered check and wrap its findings in a CheckReport.
 
     ``params`` override the runner's keyword defaults, and the report
-    echoes the merged set. A param the check does not take, a negative
-    ``trials``, or a param set that leaves no instance to check, raises
-    BadSpec.
+    echoes the merged set. A param the check does not take, a ``trials``
+    that is not a non-negative int, or a param set that leaves no instance
+    to check, raises BadSpec.
     """
     kind = CheckKind(kind)
     defaults = check_defaults(kind)
@@ -584,8 +584,9 @@ def run_check(kind: CheckKind | str, **params) -> CheckReport:
             f"it accepts {accepted}"
         )
     used = {**defaults, **params}
-    if used.get("trials", 0) < 0:
-        raise BadSpec(f"check {kind.value} needs trials >= 0, got {used['trials']}")
+    trials = used.get("trials", 0)
+    if not isinstance(trials, int) or trials < 0:
+        raise BadSpec(f"check {kind.value} needs trials >= 0, got {trials!r}")
     t0 = time.perf_counter()
     rows, violations, extremal, metadata = CHECKS[kind](**used)
     if not rows:

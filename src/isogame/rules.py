@@ -46,9 +46,7 @@ from typing import Callable, Iterable
 
 from .errors import BadSpec, IllegalMove, PatternTooLarge, StateSpaceBudgetExceeded
 from .families import make_family
-from .graph import (
-    Graph, as_mask, build_graph, component_of, is_connected, iter_mask, require_inside
-)
+from .graph import Graph, as_mask, component_of, is_connected, iter_mask, require_inside
 from .graph import components  # noqa: F401  (perfbench wraps rules.components)
 
 MAX_PATTERN_ORDER = 6
@@ -96,41 +94,33 @@ class ForbiddenFamily:
         object.__setattr__(self, "mode", mode)
 
 
-def single_vertex_family() -> ForbiddenFamily:
-    return ForbiddenFamily((build_graph(1, []),), "K1")
-
-
-def single_edge_family() -> ForbiddenFamily:
-    return ForbiddenFamily((build_graph(2, [(0, 1)]),), "K2")
-
-
-def three_path_family() -> ForbiddenFamily:
-    return ForbiddenFamily((build_graph(3, [(0, 1), (1, 2)]),), "P3")
-
-
-_NAMED_FAMILIES = {
-    "K1": single_vertex_family,
-    "K2": single_edge_family,
-    "P3": three_path_family,
-}
+#: The pattern names ``--forbidden`` reads besides family specs.
+_PATTERN_NAMES = {"K1": "complete:1", "K2": "complete:2", "P3": "path:3"}
 
 
 def parse_forbidden(text: str) -> ForbiddenFamily:
-    """Parse the CLI family spec: ``K1``, ``K2``, ``P3``, or one or more
-    connected ``custom:<order>:<edge list>`` patterns separated by ``;``."""
+    """Parse the CLI forbidden-family spec: one or more patterns separated
+    by ``;``, each a family spec (see :mod:`isogame.families`) or one of the
+    names ``K1``, ``K2`` and ``P3`` (``complete:1``, ``complete:2`` and
+    ``path:3``). The family's tag is a lone name in upper case, else the
+    text as given. Each pattern must be connected and of order at most 6.
+    """
     text = text.strip()
-    named = _NAMED_FAMILIES.get(text.upper())
-    if named is not None:
-        return named()
-    patterns = []
-    for chunk in text.split(";"):
-        if chunk.strip().split(":")[0].lower() != "custom":
-            raise BadSpec(
-                f"unknown forbidden-family spec {chunk!r}; "
-                "use K1, K2, P3 or custom:n:edges"
-            )
-        patterns.append(make_family(chunk))
-    return ForbiddenFamily(tuple(patterns), text)
+    specs = [_PATTERN_NAMES.get(chunk.strip().upper(), chunk) for chunk in text.split(";")]
+    tag = text.upper() if text.upper() in _PATTERN_NAMES else text
+    return ForbiddenFamily(tuple(map(make_family, specs)), tag)
+
+
+def single_vertex_family() -> ForbiddenFamily:
+    return parse_forbidden("K1")
+
+
+def single_edge_family() -> ForbiddenFamily:
+    return parse_forbidden("K2")
+
+
+def three_path_family() -> ForbiddenFamily:
+    return parse_forbidden("P3")
 
 
 def contains_pattern(g: Graph, within: int, pattern: Graph) -> bool:

@@ -92,6 +92,15 @@ def test_solve_rejects_out_of_range_marks(capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("name", ["x", "v+3"])
+def test_solve_rejects_a_mark_name_of_neither_form(capsys, name):
+    # a spec error naming the accepted forms, not a bare int() failure
+    code, out, err = run_cli(capsys, "solve", "--family", "path:4", "--marks", name)
+    assert code == 1
+    assert out == ""
+    assert f"vertex name {name!r} is neither a drawing name like v1" in err
+
+
 def test_solve_rejects_a_disconnected_pattern(capsys):
     # G - N[{2}] on path:6 is {0} and {4, 5}, which holds K2 + K1 although
     # no component does, so per-component closure would answer wrongly
@@ -102,6 +111,35 @@ def test_solve_rejects_a_disconnected_pattern(capsys):
     assert code == 1
     assert out == ""
     assert "custom:3:0-1 must be a connected graph" in err
+
+
+@pytest.mark.parametrize("start", ["D", "S"])
+def test_forbidden_patterns_are_family_specs(capsys, start):
+    # the spec spelling solves exactly as the edge-list spelling does; only
+    # the family tag, echoed as given, differs
+    records = []
+    for spec in ("complete:3;path:4", "custom:3:0-1,1-2,0-2;custom:4:0-1,1-2,2-3"):
+        code, out, _ = run_cli(
+            capsys, "solve", "--family", "cycle:16", "--forbidden", spec,
+            "--start", start, "--format", "json",
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record.pop("family") == spec
+        records.append(record)
+    assert records[0] == records[1]
+    code, out, _ = run_cli(capsys, "solve", "--family", "cycle:8", "--forbidden", "cycle:4")
+    assert code == 0
+    assert out.startswith("value=")
+
+
+@pytest.mark.parametrize("argv", [["--family", "path:4", "--forbidden", "alltrees:3"],
+                                  ["--family", "gstar:alltrees:3"]])
+def test_a_sequence_spec_where_one_graph_is_needed_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, "solve", *argv)
+    assert code == 1
+    assert out == ""
+    assert "'alltrees:3' names a sequence of graphs, not one graph" in err
 
 
 def test_usage_error_exits_one(capsys):

@@ -108,8 +108,12 @@ def test_spec_language_errors():
         make_family("blob:3")
     with pytest.raises(BadSpec):
         make_family("path:x")
-    with pytest.raises(BadSpec):
-        make_family("alltrees:4")  # sequence spec needs iter_family
+    # a sequence spec needs iter_family, and gets one message as the whole
+    # spec and as a gstar base (test_rules checks it as a pattern)
+    sequence = "^'alltrees:4' names a sequence of graphs, not one graph$"
+    for spec in ("alltrees:4", "gstar:alltrees:4", "gstar:gstar:alltrees:4"):
+        with pytest.raises(BadSpec, match=sequence):
+            make_family(spec)
     # "gstar:" splits into one empty field, which names no base either
     for spec in ("gstar", "gstar:", "gstar::complete:1"):
         with pytest.raises(BadSpec, match="gstar needs a base spec"):
@@ -139,6 +143,10 @@ def test_vertex_names():
     assert vertex_name_to_index(" v12 ") == 11
     for name in ("v0", "-1"):
         with pytest.raises(BadSpec, match="out of range"):
+            vertex_name_to_index(name)
+    # a name of neither form is a spec error, not a bare ValueError
+    for name in ("x", "v+3", "v", "", "v1.5", "3-4"):
+        with pytest.raises(BadSpec, match="neither a drawing name like v1 nor an integer"):
             vertex_name_to_index(name)
 
 

@@ -72,6 +72,15 @@ def test_run_check_rejects_unknown_params_and_empty_sets():
         run_check("conjecture-sweep", jobs=1)
 
 
+@pytest.mark.parametrize("trials", [None, "3", 2.5])
+@pytest.mark.parametrize(
+    "kind", ["continuation-principle", "forest-monotone", "star-addition"]
+)
+def test_run_check_rejects_trials_that_are_not_a_count(kind, trials):
+    with pytest.raises(BadSpec, match=rf"check {kind} needs trials >= 0, got {trials!r}"):
+        run_check(kind, trials=trials)
+
+
 def test_forest_monotone_rejects_large_pruefer_orders_before_solving(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("a tree was solved before the order was checked")

@@ -299,6 +299,14 @@ def test_fast_absorption_paths_match_generic_search():
         ("custom:4:0-1,1-2,2-3;custom:2:0-1", "edge"),
         ("custom:3:0-1,1-2,0-2", "search"),
         ("custom:4:0-1,1-2,2-3", "search"),
+        # every pattern is a family spec; K1, K2 and P3 name three of them
+        ("complete:1", "none"),
+        ("complete:2", "edge"),
+        ("path:3", "pair"),
+        ("star:2", "pair"),
+        ("cycle:4", "search"),
+        ("complete:3;path:4", "search"),
+        ("K2;P3", "edge"),
     ],
 )
 def test_family_mode_follows_the_smallest_patterns(spec, mode):
@@ -342,6 +350,16 @@ def test_parse_forbidden_specs():
     assert fam.patterns[0].n == 3
     with pytest.raises(BadSpec):
         parse_forbidden("K9")
+    # a lone name keeps its upper-case tag; any other text is the tag as given
+    assert [parse_forbidden(t).tag for t in ("k2", " P3 ", "K2;P3", "complete:2")] == [
+        "K2", "P3", "K2;P3", "complete:2"]
+    assert parse_forbidden("path:3").patterns == P3.patterns
+    assert parse_forbidden("complete:2").patterns == K2.patterns
+    for spec in ("hgraph", "path:7", "complete:3;path:7"):
+        with pytest.raises(PatternTooLarge):
+            parse_forbidden(spec)
+    with pytest.raises(BadSpec, match="'alltrees:3' names a sequence of graphs"):
+        parse_forbidden("K2;alltrees:3")
     # a bad custom pattern fails as the same custom spec does under --family
     with pytest.raises(BadSpec):
         parse_forbidden("custom:3:0-9")

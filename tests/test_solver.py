@@ -13,6 +13,7 @@ from isogame import (
     StateSpaceBudgetExceeded,
     TerminalState,
     apply_move,
+    build_graph,
     close_marks,
     closed_neighborhood,
     complete_graph,
@@ -560,3 +561,28 @@ def test_solve_both_equals_two_fresh_solves():
                 assert solve_both(g, fam) == (
                     solve(g, fam, Mover.DOMINATOR), solve(g, fam, Mover.STALLER)
                 ), (encode_graph6(g), fam.tag)
+
+
+def test_values_and_optimal_moves_do_not_depend_on_vertex_labels():
+    # the table and closure memo are keyed by vertex masks, so a relabelled
+    # graph fills different keys; values must not change, and the optimal
+    # moves of the closed empty start must map through the permutation
+    rng = Random(21)
+    fams = (K1, K2, P3, parse_forbidden("complete:3;path:4"))
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = build_graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+            for fam in fams:
+                where = (encode_graph6(g), perm, fam.tag)
+                values = [r.value for r in solve_both(g, fam)]
+                assert [r.value for r in solve_both(h, fam)] == values, where
+                start_g, start_h = initial_closure(g, fam, 0), initial_closure(h, fam, 0)
+                if start_g.is_terminal:
+                    assert start_h.is_terminal, where
+                    continue
+                for mover in Mover:
+                    moves = optimal_moves(g, fam, start_g, mover)
+                    mapped = mask_of(perm[x] for x in mask_list(moves))
+                    assert optimal_moves(h, fam, start_h, mover) == mapped, where
