@@ -44,7 +44,9 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--start", choices=("D", "S"), default="D")
     p_solve.add_argument("--marks", default="",
                          help="comma-separated pre-marked vertices (v4 or 3)")
-    p_solve.add_argument("--memo-cap", type=int, default=DEFAULT_MEMO_CAP)
+    p_solve.add_argument("--memo-cap", type=int, default=DEFAULT_MEMO_CAP,
+                         help="most entries the bounds table and the closure "
+                              "memo may each hold; exceeding it exits 1")
     p_solve.add_argument("--format", dest="fmt",
                          choices=("plain", "json", "csv"), default="plain")
     p_solve.add_argument("--output", default=None)
@@ -69,7 +71,8 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--format", dest="fmt",
                          choices=("plain", "json", "csv"), default="plain")
     p_sweep.add_argument("--output", default=None)
-    p_sweep.add_argument("--reproducible", action="store_true")
+    p_sweep.add_argument("--reproducible", action="store_true",
+                         help="omit timing fields so artifacts are byte-stable")
 
     p_family = sub.add_parser("family", help="emit a family graph as graph6")
     p_family.add_argument("--spec", required=True)

@@ -572,7 +572,9 @@ def run_check(kind: CheckKind | str, **params) -> CheckReport:
     ``params`` override the runner's keyword defaults, and the report
     echoes the merged set. A param the check does not take, a ``trials``
     that is not a non-negative int, or a param set that leaves no instance
-    to check, raises BadSpec.
+    to check, raises BadSpec. So does a ``seed`` that is not an int, since
+    ``--seed`` could not replay the report. Neither may be a bool, which
+    the report would record as ``true``.
     """
     kind = CheckKind(kind)
     defaults = check_defaults(kind)
@@ -585,8 +587,11 @@ def run_check(kind: CheckKind | str, **params) -> CheckReport:
         )
     used = {**defaults, **params}
     trials = used.get("trials", 0)
-    if not isinstance(trials, int) or trials < 0:
+    if type(trials) is not int or trials < 0:
         raise BadSpec(f"check {kind.value} needs trials >= 0, got {trials!r}")
+    seed = used.get("seed", 0)
+    if type(seed) is not int:
+        raise BadSpec(f"check {kind.value} needs an integer seed, got {seed!r}")
     t0 = time.perf_counter()
     rows, violations, extremal, metadata = CHECKS[kind](**used)
     if not rows:

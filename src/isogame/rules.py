@@ -16,13 +16,13 @@ once per search context and returns ``close(marked, near)``: absorb the
 quiet components that meet ``near``. That equals full closure whenever
 every unmarked component that misses ``near`` is live, as for any marks
 with ``near`` the whole graph (:func:`close_marks`), or for a closed
-set's child ``closed | N[x]`` with ``near = N[N[x]]``. With K2 (edge
-mode) a component is quiet exactly when it is one vertex; with P3 and
-neither smaller pattern (pair mode) when it has at most two vertices,
-since every connected graph on three or more vertices contains P3. Both
-read unmarked degrees alone, a few bit operations per vertex of
-``near``, and keep no memo: an entry per child would cost more memory
-than the lookup saves time.
+set's child ``closed | N[x]`` with ``near = N[N[x]]``. With K2 or P3 as
+the smallest pattern (edge or pair mode), a component is quiet iff it has
+fewer than 2 or 3 vertices, since every connected graph on 2 vertices
+holds K2 and every one on 3 or more holds P3. So one loop reads it from
+unmarked degrees alone, a few bit operations per vertex of ``near``, and
+keeps no memo: an entry per child would cost more memory than the lookup
+saves time.
 
 Every other family, the empty one included, is in subgraph-search mode,
 where closure depends only on the graph, the family and the pre-closure
@@ -205,33 +205,24 @@ def closer(
     g: Graph, fam: ForbiddenFamily, closures: dict[int, int], cap: int
 ) -> Callable[[int, int], int]:
     """Return ``close(marked, near)`` for one search context on ``g`` and
-    ``fam``, exact under the precondition in the module docstring. In
-    subgraph-search mode it reads and fills the closure memo ``closures``
-    and raises StateSpaceBudgetExceeded rather than store a key beyond
-    ``cap`` entries; other modes leave it alone."""
+    ``fam``, exact under the precondition in the module docstring. With K2
+    or P3 as the smallest pattern, a component is quiet iff it has fewer
+    than 2 or 3 vertices, which unmarked degrees decide in one loop over
+    ``near``. In subgraph-search mode it reads and fills the closure memo
+    ``closures`` and raises StateSpaceBudgetExceeded rather than store a
+    key beyond ``cap`` entries; other modes leave it alone."""
     adj = g.adj
     mode = fam.mode
-    if mode == _MODE_EDGE:
+    if mode == _MODE_NONE:
+        return lambda marked, near: marked
+    if mode != _MODE_SEARCH:
+        pairs = mode == _MODE_PAIR
 
         def close(marked: int, near: int) -> int:
-            # quiet <=> isolated; ``near`` lies inside the graph, so
-            # ``near & ~marked`` is the unmarked part of it
-            unmarked = ~marked
-            extra = 0
-            rest = near & unmarked
-            while rest:
-                low = rest & -rest
-                if not adj[low.bit_length() - 1] & unmarked:
-                    extra |= low
-                rest ^= low
-            return marked | extra
-
-        return close
-    if mode == _MODE_PAIR:
-
-        def close(marked: int, near: int) -> int:
-            # quiet <=> a vertex with no unmarked neighbor, or two vertices
-            # that are each other's only unmarked neighbor
+            # quiet <=> a vertex with no unmarked neighbor, or in pair mode
+            # two vertices that are each other's only unmarked neighbor;
+            # ``near`` lies inside the graph, so ``near & ~marked`` is the
+            # unmarked part of it
             unmarked = ~marked
             extra = 0
             rest = near & unmarked
@@ -240,15 +231,13 @@ def closer(
                 nb = adj[low.bit_length() - 1] & unmarked
                 if not nb:
                     extra |= low
-                elif not nb & (nb - 1) and not adj[nb.bit_length() - 1] & unmarked & ~low:
+                elif pairs and not nb & (nb - 1) and not adj[nb.bit_length() - 1] & unmarked & ~low:
                     extra |= low | nb
                     rest &= ~nb
                 rest ^= low
             return marked | extra
 
         return close
-    if mode == _MODE_NONE:
-        return lambda marked, near: marked
     full = g.full_mask
 
     def store(key: int, closed: int) -> int:

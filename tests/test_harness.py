@@ -72,13 +72,23 @@ def test_run_check_rejects_unknown_params_and_empty_sets():
         run_check("conjecture-sweep", jobs=1)
 
 
-@pytest.mark.parametrize("trials", [None, "3", 2.5])
+@pytest.mark.parametrize("trials", [None, "3", 2.5, True])
 @pytest.mark.parametrize(
     "kind", ["continuation-principle", "forest-monotone", "star-addition"]
 )
 def test_run_check_rejects_trials_that_are_not_a_count(kind, trials):
     with pytest.raises(BadSpec, match=rf"check {kind} needs trials >= 0, got {trials!r}"):
         run_check(kind, trials=trials)
+
+
+@pytest.mark.parametrize("seed", [None, "0", 2.5, True])
+@pytest.mark.parametrize(
+    "kind", ["continuation-principle", "forest-monotone", "star-addition"]
+)
+def test_run_check_rejects_a_seed_that_is_not_an_int(kind, seed):
+    # a report must replay from its recorded seed, and --seed reads an int
+    with pytest.raises(BadSpec, match=rf"check {kind} needs an integer seed, got {seed!r}"):
+        run_check(kind, seed=seed)
 
 
 def test_forest_monotone_rejects_large_pruefer_orders_before_solving(monkeypatch):

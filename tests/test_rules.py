@@ -267,24 +267,23 @@ def test_near_closure_after_a_move_equals_full_closure(gm):
 def test_fast_absorption_paths_match_generic_search():
     # force the generic per-component search and compare with the
     # structure-specialized paths for the same families, both over the
-    # whole graph and around a move from a closed parent
-    rng = Random(5)
+    # whole graph and around a move from a closed parent, on every mask of
+    # every connected graph of order at most 6
     pool = [g for n in range(1, 7) for g in enumerate_connected(n)]
     fams = (K1, K2, P3, parse_forbidden("custom:2:0-1"), parse_forbidden("custom:3:0-1,1-2"))
     for fam in fams:
         assert fam.mode != "search"
         generic = ForbiddenFamily(fam.patterns, fam.tag)
         object.__setattr__(generic, "mode", "search")
-        for _ in range(120):
-            g = rng.choice(pool)
-            marks = rng.randrange(g.full_mask + 1)
-            assert close_marks(g, fam, marks) == close_marks(g, generic, marks)
-            closed = close_marks(g, generic, marks)
+        for g in pool:
             close = closer(g, fam, {}, DEFAULT_MEMO_CAP)
-            for hit in g.closed:
-                if hit & ~closed:
-                    near = closed_neighborhood(g, hit)
-                    assert close(closed | hit, near) == close_marks(g, generic, closed | hit)
+            for marks in range(g.full_mask + 1):
+                closed = close_marks(g, generic, marks)
+                assert close_marks(g, fam, marks) == closed
+                for hit in g.closed:
+                    if hit & ~closed:
+                        near = closed_neighborhood(g, hit)
+                        assert close(closed | hit, near) == close_marks(g, generic, closed | hit)
 
 
 @pytest.mark.parametrize(

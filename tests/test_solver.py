@@ -1,3 +1,5 @@
+import hashlib
+import json
 from random import Random
 
 import pytest
@@ -586,3 +588,22 @@ def test_values_and_optimal_moves_do_not_depend_on_vertex_labels():
                     moves = optimal_moves(g, fam, start_g, mover)
                     mapped = mask_of(perm[x] for x in mask_list(moves))
                     assert optimal_moves(h, fam, start_h, mover) == mapped, where
+
+
+def test_values_and_lines_are_pinned():
+    # a refactor of closure, the table or the search must keep every value
+    # and principal line: this digest pins both starts over the small
+    # catalog and five named instances, unmarked and with vertex 0 marked
+    named = ("cycle:16", "cycle:20", "gh:1", "gstar:complete:2", "path:13")
+    graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
+    graphs += [make_family(spec) for spec in named]
+    records = []
+    for fam in (K1, K2, P3, parse_forbidden("complete:3;path:4")):
+        for g in graphs:
+            for marks in ([], [0]):
+                d, s = solve_both(g, fam, marks)
+                records.append([encode_graph6(g), fam.tag, marks, d.value,
+                                list(d.principal_line), s.value, list(s.principal_line)])
+    assert len(records) == 1184
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "b6856b9e8a1b221327b6690106e1f63c728c20192f208be7a5baa7d5f3d7dcd3"
