@@ -10,23 +10,36 @@ ends the test. The table maps ``(marked_mask, minimizer_to_move)`` to
 ``(lo, hi)`` bounds on the exact value; a pass sets ``hi = k``, a fail
 sets ``lo = k + 1``, and a test the bounds already decide is answered from
 the table. The value is the least ``k`` whose test passes, counting up
-from 0. Optimal moves and principal lines are read with one test per
-child, lowest vertex first, so ties break toward the lowest vertex index
-and lines are reproducible. The root closes over the whole graph and
-each child only around its move, through one ``rules.closer`` per search
-context, which is exact because its parent was closed. ``solve_both``
-runs its two starts in one search context: they share the bounds table
-and the closure memo.
+from 0.
+
+A test skips the moves a neighbour's move dominates. Let ``s_v`` be the
+unmarked part of ``N[v]``. If ``s_x`` lies inside ``s_y``, the child of
+``y`` contains the child of ``x``, since closure is monotone, and by the
+paper's Continuation Principle a larger marked set never leaves a longer
+game. So Dominator skips ``x`` when a neighbour ``y`` has ``s_x`` inside
+``s_y``, and Staller skips ``x`` when a neighbour ``y`` has a non-empty
+``s_y`` inside ``s_x`` (a ``y`` whose ``N[y]`` is fully marked is no
+move). Of equal sets only the lowest vertex is tried, so every chain of
+skips ends at a move that is tried and at least as good. Each test keeps
+its answer; it only visits and stores fewer children. Optimal moves and
+principal lines are read with one test per child over every legal move,
+lowest vertex first, so ties break toward the lowest vertex index and
+lines are reproducible and the same as without the skip. The root closes
+over the whole graph and each child only around its move, through one
+``rules.closer`` per search context, which is exact because its parent
+was closed. ``solve_both`` runs its two starts in one search context:
+they share the bounds table and the closure memo.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .errors import StateSpaceBudgetExceeded, TerminalState
-from .graph import Graph, as_mask, closed_neighborhood, encode_graph6, mask_list, mask_of
+from .graph import Graph, as_mask, encode_graph6, mask_list, mask_of
 from .graph import require_inside
 from .rules import ForbiddenFamily, MarkState, closer
 from .rules import close_marks  # noqa: F401  (perfbench wraps solver.close_marks)
@@ -53,6 +66,35 @@ class GameResult:
     principal_line: tuple[int, ...]
 
 
+@lru_cache(maxsize=1)
+def _move_table(g: Graph) -> tuple[tuple, tuple]:
+    """Staller's and Dominator's move rows, indexed by ``dom_to_move``.
+    The row of vertex x holds what playing x marks, N[x]; where closure
+    can act, N[N[x]]; and one mask triple ``(inside, outside, legal)`` per
+    neighbour y. Within the unmarked part, y's move dominates x's when
+    ``inside`` is empty and ``outside`` and ``legal`` are not: for
+    Dominator s_x lies in s_y, for Staller s_y lies in s_x and is no
+    empty set, and for y > x the two sets differ, so of equal sets only
+    the lowest vertex is tried. The rows depend on the graph alone, so
+    the last table is kept for the next start on the same graph."""
+    full = g.full_mask
+    closed = g.closed
+    stall_rows, dom_rows = [], []
+    for x, hit in enumerate(closed):
+        near, stall, dom, rest = hit, [], [], g.adj[x]
+        while rest:
+            low = rest & -rest
+            y = low.bit_length() - 1
+            ny = closed[y]
+            near |= ny
+            stall.append((ny & ~hit, full if y < x else hit & ~ny, ny))
+            dom.append((hit & ~ny, full if y < x else ny & ~hit, full))
+            rest ^= low
+        stall_rows.append((hit, near, tuple(stall)))
+        dom_rows.append((hit, near, tuple(dom)))
+    return tuple(stall_rows), tuple(dom_rows)
+
+
 def _search(
     g: Graph,
     fam: ForbiddenFamily,
@@ -68,8 +110,7 @@ def _search(
     ``table`` and the ``closures`` memo (mask -> its closure). Both dicts
     hold only for this ``g`` and ``fam``; several starts may share them."""
     full = g.full_mask
-    # per vertex x: what playing it marks, N[x], and where closure can act, N[N[x]]
-    moves = [(hit, closed_neighborhood(g, hit)) for hit in g.closed]
+    moves = _move_table(g)
     # every move marks a new vertex, so a live state lasts 1..n moves
     default = (1, g.n)
     close = closer(g, fam, closures, memo_cap)
@@ -89,12 +130,18 @@ def _search(
         # so the first child whose answer equals ``dom_to_move`` decides
         passed = not dom_to_move
         unmarked = full & ~marked
-        for hit, near in moves:
-            if hit & unmarked and at_most(
-                close(marked | hit, near), not dom_to_move, k - 1
-            ) is dom_to_move:
-                passed = dom_to_move
-                break
+        for hit, near, rivals in moves[dom_to_move]:
+            if not hit & unmarked:
+                continue
+            for inside, outside, legal in rivals:
+                if not inside & unmarked and outside & unmarked and legal & unmarked:
+                    break  # a neighbour's move dominates this one
+            else:
+                if at_most(
+                    close(marked | hit, near), not dom_to_move, k - 1
+                ) is dom_to_move:
+                    passed = dom_to_move
+                    break
         if bounds is None and len(table) >= memo_cap:
             raise StateSpaceBudgetExceeded(
                 f"transposition table exceeded {memo_cap} entries"
@@ -107,7 +154,7 @@ def _search(
         first. After a Dominator move every child is worth at least
         ``value - 1``, after a Staller move at most that, so one test per
         child tells whether it attains the value."""
-        for x, (hit, near) in enumerate(moves):
+        for x, (hit, near, _) in enumerate(moves[dom_to_move]):
             if hit & ~marked:
                 closed = close(marked | hit, near)
                 if (

@@ -286,6 +286,23 @@ def test_fast_absorption_paths_match_generic_search():
                         assert close(closed | hit, near) == close_marks(g, generic, closed | hit)
 
 
+def test_closure_is_monotone():
+    # marking more never unmarks anything: A <= B implies
+    # close(A) <= close(B), since every unmarked component of G - B lies
+    # inside one of G - A and a pattern-free graph has only pattern-free
+    # subgraphs. The solver's move-dominance skip rests on this (with the
+    # Continuation Principle): a move whose unmarked neighbourhood holds
+    # another's yields a closed child that holds the other's child
+    fams = (K1, K2, P3, parse_forbidden("complete:3;path:4"))
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            for fam in fams:
+                closed = [close_marks(g, fam, marks) for marks in range(g.full_mask + 1)]
+                for marks, low in enumerate(closed):
+                    for v in range(n):
+                        assert not low & ~closed[marks | 1 << v], (g.adj, fam.tag, marks, v)
+
+
 @pytest.mark.parametrize(
     "spec, mode",
     [

@@ -106,6 +106,43 @@ def test_optimal_moves_match_naive_oracle():
             )
 
 
+def test_dominated_moves_skip_matches_naive_oracle():
+    # the search skips a move when a neighbour's move is as good for the
+    # mover (Continuation Principle over monotone closure); values and
+    # optimal moves must still equal the naive recursion, which tries
+    # every move, from the closed empty start and each closed one-vertex
+    # start, under each mode of closure
+    fams = (K1, K2, P3, parse_forbidden("complete:3;path:4"))
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            for fam in fams:
+                for start in [0] + [1 << v for v in range(n)]:
+                    state = initial_closure(g, fam, start)
+                    for mover in Mover:
+                        where = (encode_graph6(g), fam.tag, start, mover)
+                        want = naive_game_value(g, fam, state, mover)
+                        assert solve(g, fam, mover, state.marked).value == want, where
+                        if not state.is_terminal:
+                            assert optimal_moves(g, fam, state, mover) == naive_best_moves(
+                                g, fam, state, mover
+                            ), where
+
+
+def test_staller_skips_only_for_a_playable_neighbour():
+    # {0, 1, 2} marked on P_6 is closed under K2 and leaves N[1] fully
+    # marked. Vertex 1's empty unmarked neighbourhood lies inside vertex
+    # 2's, but 1 is no move, so it must not make Staller skip 2, the only
+    # move that leaves a live edge
+    g = path_graph(6)
+    state = MarkState(g, mask_of([0, 1, 2]))
+    assert close_marks(g, K2, state.marked) == state.marked
+    assert not is_playable(state, 1) and is_playable(state, 2)
+    assert solve(g, K2, Mover.STALLER, state.marked).value == 2
+    assert optimal_moves(g, K2, state, Mover.STALLER) == mask_of([2])
+    assert naive_best_moves(g, K2, state, Mover.STALLER) == mask_of([2])
+    assert solve(g, K2, Mover.DOMINATOR, state.marked).value == 1
+
+
 def test_optimal_moves_rejects_terminal():
     g = complete_graph(1)
     with pytest.raises(TerminalState):
@@ -247,19 +284,19 @@ def test_solve_both_shares_one_table():
 @pytest.mark.parametrize(
     "spec, fam, stored",
     [
-        ("path:13", K2, 216),
-        ("cycle:12", K2, 167),
-        ("hgraph", K2, 71),
-        ("gh:1", K2, 71),
-        ("cycle:10", P3, 30),
+        ("path:13", K2, 144),
+        ("cycle:12", K2, 133),
+        ("hgraph", K2, 54),
+        ("gh:1", K2, 54),
+        ("cycle:10", P3, 26),
     ],
     ids=["path:13-K2", "cycle:12-K2", "hgraph-K2", "gh:1-K2", "cycle:10-P3"],
 )
 def test_table_size_is_pinned(spec, fam, stored):
     # both starts fill one bounds table with exactly these states; a test
-    # stops at the first decisive child, so children it never reached
-    # stay out of the table. Re-solving asks only tests the table
-    # already answers, so it stores nothing more
+    # stops at the first decisive child and skips dominated moves, so
+    # children it never reached stay out of the table. Re-solving asks
+    # only tests the table already answers, so it stores nothing more
     g = make_family(spec)
     memo = {}
     solve(g, fam, Mover.DOMINATOR, memo=memo)
@@ -319,33 +356,33 @@ def test_memo_cap_is_enforced():
 
 
 def test_memo_cap_bounds_the_closure_memo():
-    # under K3+P4 on cycle:12 both starts store 36 bounds and 124 closures
+    # under K3+P4 on cycle:12 both starts store 32 bounds and 112 closures
     # (of pre-closure masks and of each searched component's complement,
     # the root's among them). The cap is checked before every new key, so
-    # a cap of 60 or of 123 is met by the closure memo alone, and 124, the
+    # a cap of 60 or of 111 is met by the closure memo alone, and 112, the
     # least cap that passes, gives the usual values
     g = make_family("cycle:12")
     memo, closures = {}, {}
     for mover in (Mover.DOMINATOR, Mover.STALLER):
         solve(g, K3_P4, mover, memo=memo, closures=closures)
-    assert (len(memo), len(closures)) == (36, 124)
-    for cap in (60, 123):
+    assert (len(memo), len(closures)) == (32, 112)
+    for cap in (60, 111):
         with pytest.raises(StateSpaceBudgetExceeded, match=f"closure memo exceeded {cap}"):
             solve_both(g, K3_P4, memo_cap=cap)
-    capped = solve_both(g, K3_P4, memo_cap=124)
+    capped = solve_both(g, K3_P4, memo_cap=112)
     assert capped == solve_both(g, K3_P4)
     assert [r.value for r in capped] == [3, 2]
     # a child whose unmarked part is one component C shares the key full ^ C
     # with C's own entry, so storing it adds no key: here too the least cap
     # that passes is the number of entries both starts hold
-    for spec, held in (("cycle:5", 6), ("path:5", 8)):
+    for spec, held in (("cycle:5", 6), ("path:5", 7)):
         small = make_family(spec)
         with pytest.raises(StateSpaceBudgetExceeded, match=f"closure memo exceeded {held - 1} "):
             solve_both(small, K3_P4, memo_cap=held - 1)
         assert solve_both(small, K3_P4, memo_cap=held) == solve_both(small, K3_P4)
     # K1, K2 and P3 close by bit steps, so their solves leave the closure
     # memo empty
-    for fam, stored in ((K1, 289), (K2, 167), (P3, 85)):
+    for fam, stored in ((K1, 220), (K2, 133), (P3, 73)):
         memo, closures = {}, {}
         for mover in (Mover.DOMINATOR, Mover.STALLER):
             solve(g, fam, mover, memo=memo, closures=closures)
@@ -464,9 +501,9 @@ def test_quiet_memo_searches_each_component_once_per_solve(monkeypatch):
     monkeypatch.setattr(rules, "is_forbidden_component", counting_is_quiet)
     monkeypatch.setattr(solver, "solve", one_solve)
     cases = [
-        ("cycle:20", [], (5, 5), 250),
-        ("cycle:20", [0, 10], (3, 4), 90),
-        ("gh:3", [3, 15, 27], (9, 9), 42),
+        ("cycle:20", [], (5, 5), 239),
+        ("cycle:20", [0, 10], (3, 4), 86),
+        ("gh:3", [3, 15, 27], (9, 9), 39),
     ]
     for spec, marks, values, count in cases:
         searched.clear()
