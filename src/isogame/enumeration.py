@@ -2,10 +2,24 @@
 
 Connected graphs are generated one order at a time: every connected graph
 on ``k+1`` vertices arises from a connected graph on ``k`` vertices by
-attaching a new vertex to a nonempty subset (any non-cutvertex can play
-the role of the removed vertex), so extending every representative by
-every nonempty attachment set and deduplicating by canonical form yields
-exactly one representative per isomorphism class.
+attaching a new vertex to a nonempty subset, and deduplicating the
+children by canonical form yields exactly one representative per
+isomorphism class. Most children are dropped before they are
+canonicalised, in the spirit of McKay's canonical construction path
+("Isomorph-free exhaustive generation", J. Algorithms 26, 1998): a child
+goes on only when no non-cut vertex of it has a larger invariant
+``(degree, sorted neighbour degrees)`` than the new vertex. No class is
+lost:
+
+1. Every connected graph C has a non-cut vertex w whose invariant is the
+   largest among its non-cut vertices (C has at least one non-cut vertex).
+2. C - w is connected, so its catalog representative P yields a copy of C
+   in which the new vertex plays w.
+3. The invariant and being a cut vertex do not depend on labels, so that
+   copy passes the test.
+
+At order 8 the test cuts the children canonicalised from 108,331 to
+17,598.
 
 The canonical form is the lexicographically smallest column-major
 upper-triangle encoding over vertex orderings that respect an iterated
@@ -148,6 +162,42 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return g.n == h.n and canonical_form(g) == canonical_form(h)
 
 
+def _is_cut_vertex(adj: list[int], w: int) -> bool:
+    """True when removing ``w`` disconnects the (connected) graph ``adj``.
+    It reads the child's adjacency list, so the children the test drops
+    (most of them) never build a ``Graph`` for ``graph.component_of``."""
+    rest = (1 << len(adj)) - 1 & ~(1 << w)
+    reached = frontier = rest & -rest
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        fresh = adj[low.bit_length() - 1] & rest & ~reached
+        reached |= fresh
+        frontier |= fresh
+    return reached != rest
+
+
+def _new_vertex_wins(adj: list[int]) -> bool:
+    """True when no non-cut vertex of ``adj`` has a larger invariant
+    ``(degree, sorted neighbour degrees)`` than the last vertex."""
+    v = len(adj) - 1
+    deg = [a.bit_count() for a in adj]
+    top = deg[v]
+    mine = None
+    # degrees decide most comparisons; neighbour degrees only break ties
+    for w in range(v):
+        if deg[w] < top:
+            continue
+        if deg[w] == top:
+            if mine is None:
+                mine = sorted([deg[u] for u in range(v) if adj[v] >> u & 1])
+            if sorted([deg[u] for u in range(v + 1) if adj[w] >> u & 1]) <= mine:
+                continue
+        if not _is_cut_vertex(adj, w):
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def _connected_catalog(n: int) -> tuple[Graph, ...]:
     if n == 1:
@@ -161,7 +211,8 @@ def _connected_catalog(n: int) -> tuple[Graph, ...]:
                 for v, a in enumerate(parent.adj)
             ]
             adj.append(attach)
-            seen.add(canonical_form(Graph(n, tuple(adj))))
+            if _new_vertex_wins(adj):
+                seen.add(canonical_form(Graph(n, tuple(adj))))
     return tuple(Graph(n, a) for a in sorted(seen))
 
 

@@ -60,7 +60,7 @@ def require_inside(g: Graph, mask: int, what: str) -> int:
     return mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Immutable undirected graph on vertices ``0..n-1``.
 

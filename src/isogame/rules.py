@@ -160,7 +160,12 @@ def contains_pattern(g: Graph, within: int, pattern: Graph) -> bool:
             assigned[p] = -1
         return False
 
-    return extend(0)
+    # ``extend`` calls itself through its closure cell; clearing the cell
+    # frees the matcher now instead of in the cyclic garbage collector
+    try:
+        return extend(0)
+    finally:
+        del extend
 
 
 @lru_cache(maxsize=None)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import StateSpaceBudgetExceeded, TerminalState
 from .graph import Graph, as_mask, encode_graph6, mask_list, mask_of
@@ -45,6 +45,10 @@ from .rules import ForbiddenFamily, MarkState, closer
 from .rules import close_marks  # noqa: F401  (perfbench wraps solver.close_marks)
 
 DEFAULT_MEMO_CAP = 1 << 24
+
+T = TypeVar("T")
+#: ``optimal_children(marked, dom_to_move, value)`` of one search context
+OptimalChildren = Callable[[int, bool, int], Iterator[tuple[int, int]]]
 
 
 class Mover(enum.Enum):
@@ -103,12 +107,17 @@ def _search(
     table: dict[tuple[int, bool], tuple[int, int]],
     closures: dict[int, int],
     memo_cap: int,
-) -> tuple[int, int, Callable[[int, bool, int], Iterator[tuple[int, int]]]]:
+    read: Callable[[int, int, OptimalChildren], T],
+) -> T:
     """One solve's context: close ``marks``, count the value of that state
-    up from 0, and return ``(closed marks, value, optimal_children)``.
+    up from 0, and return ``read(closed marks, value, optimal_children)``.
     ``at_most`` and ``optimal_children`` share one move table, the bounds
     ``table`` and the ``closures`` memo (mask -> its closure). Both dicts
-    hold only for this ``g`` and ``fam``; several starts may share them."""
+    hold only for this ``g`` and ``fam``; several starts may share them.
+    ``at_most`` calls itself through its closure cell, a reference cycle,
+    so the cell is cleared once ``read`` returns and the context is freed
+    then rather than by the cyclic garbage collector; ``optimal_children``
+    is good only inside ``read``."""
     full = g.full_mask
     moves = _move_table(g)
     # every move marks a new vertex, so a live state lasts 1..n moves
@@ -164,10 +173,13 @@ def _search(
                 ):
                     yield x, closed
 
-    value = 0
-    while not at_most(marked, dom_to_move, value):
-        value += 1
-    return marked, value, optimal_children
+    try:
+        value = 0
+        while not at_most(marked, dom_to_move, value):
+            value += 1
+        return read(marked, value, optimal_children)
+    finally:
+        del at_most
 
 
 def optimal_moves(
@@ -181,12 +193,13 @@ def optimal_moves(
     """Mask of every playable vertex whose successor attains the optimum,
     after closing the state's marks."""
     dom = mover is Mover.DOMINATOR
-    marked, value, optimal_children = _search(
-        g, fam, state.marked, dom, {}, {}, memo_cap
-    )
-    if marked == g.full_mask:
-        raise TerminalState("no moves from a fully marked graph")
-    return mask_of(x for x, _ in optimal_children(marked, dom, value))
+
+    def every_move(marked: int, value: int, optimal_children: OptimalChildren) -> int:
+        if marked == g.full_mask:
+            raise TerminalState("no moves from a fully marked graph")
+        return mask_of(x for x, _ in optimal_children(marked, dom, value))
+
+    return _search(g, fam, state.marked, dom, {}, {}, memo_cap, every_move)
 
 
 def solve(
@@ -205,18 +218,23 @@ def solve(
     reuse is safe. ``closures`` is the search-mode closure memo, shared
     the same way and only on the same graph and family."""
     dom = start_player is Mover.DOMINATOR
-    marked, value, optimal_children = _search(
+
+    def principal_line(
+        marked: int, value: int, optimal_children: OptimalChildren
+    ) -> GameResult:
+        line, to_move = [], dom
+        for left in range(value, 0, -1):
+            move, marked = next(optimal_children(marked, to_move, left))
+            line.append(move)
+            to_move = not to_move
+        return GameResult(value, line[0] if line else None, tuple(line))
+
+    return _search(
         g, fam, as_mask(initial_marks), dom,
         {} if memo is None else memo,
         {} if closures is None else closures,
-        memo_cap,
+        memo_cap, principal_line,
     )
-    line = []
-    for left in range(value, 0, -1):
-        move, marked = next(optimal_children(marked, dom, left))
-        line.append(move)
-        dom = not dom
-    return GameResult(value, line[0] if line else None, tuple(line))
 
 
 def solve_both(

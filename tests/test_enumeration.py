@@ -25,6 +25,7 @@ from isogame import (
     path_graph,
     tree_classes,
 )
+from isogame import enumeration
 from isogame.enumeration import (
     CONNECTED_COUNTS, MAX_PRUEFER_ORDER, MAX_TREE_ORDER, TREE_COUNTS, tree_code
 )
@@ -75,9 +76,49 @@ def test_connected_counts_match_brute_force(n, count):
     assert len({canonical_form(g) for g in catalog}) == count
 
 
-def test_connected_counts_frozen_to_order_seven():
-    for n in range(1, 8):
+def test_connected_counts_frozen_to_order_eight():
+    for n in range(1, 9):
         assert sum(1 for _ in enumerate_connected(n)) == CONNECTED_COUNTS[n]
+
+
+def _dedup_oracle_levels(n_max):
+    """Adjacency tuples of every catalog order 1..n_max, sorted, built by
+    canonicalising every child of the last level: no pre-filter."""
+    level = [(0,)]
+    yield level
+    for n in range(2, n_max + 1):
+        bit = 1 << (n - 1)
+        seen = set()
+        for adj in level:
+            for attach in range(1, bit):
+                child = [a | bit if attach >> v & 1 else a for v, a in enumerate(adj)]
+                seen.add(canonical_form(Graph(n, (*child, attach))))
+        level = sorted(seen)
+        yield level
+
+
+def test_catalog_matches_the_plain_dedup_oracle():
+    # the invariant test before canonical_form must lose no class and
+    # change no representative
+    for n, level in enumerate(_dedup_oracle_levels(7), start=1):
+        assert [g.adj for g in enumerate_connected(n)] == level, n
+
+
+def test_catalog_canonicalises_only_the_children_that_pass_the_test(monkeypatch):
+    # one uncached build per order from the cached order below it; the
+    # plain dedup canonicalises 0, 1, 3, 14, 90, 651 and 7,056 children here
+    enumeration._connected_catalog(6)
+    calls = []
+    monkeypatch.setattr(
+        enumeration, "canonical_form", lambda g: calls.append(g) or canonical_form(g)
+    )
+    per_order = []
+    for n in range(1, 8):
+        before = len(calls)
+        assert len(enumeration._connected_catalog.__wrapped__(n)) == CONNECTED_COUNTS[n]
+        per_order.append(len(calls) - before)
+    assert per_order == [0, 1, 3, 8, 34, 175, 1477]
+    assert len(calls) == 1698
 
 
 def test_catalog_members_are_connected_and_distinct():

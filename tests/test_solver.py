@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 from random import Random
@@ -387,6 +388,24 @@ def test_memo_cap_bounds_the_closure_memo():
         for mover in (Mover.DOMINATOR, Mover.STALLER):
             solve(g, fam, mover, memo=memo, closures=closures)
         assert (len(memo), len(closures)) == (stored, 0), fam.tag
+
+
+def test_a_solve_leaves_nothing_for_the_cyclic_collector():
+    # the search context and the pattern matcher call themselves through
+    # closure cells; each clears its cell when it returns, so its tables
+    # are freed by reference counting instead of staying until gc runs
+    g = make_family("cycle:16")
+    for fam in (K2, parse_forbidden("complete:3;path:4")):
+        state = initial_closure(g, fam, 0)
+        gc.collect()
+        gc.disable()
+        try:
+            solve_both(g, fam)
+            for mover in Mover:
+                optimal_moves(g, fam, state, mover)
+            assert gc.collect() == 0, fam.tag
+        finally:
+            gc.enable()
 
 
 def test_result_record_schema():
