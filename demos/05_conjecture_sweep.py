@@ -5,7 +5,7 @@ without isolated-edge components. The sweep solves every connected graph
 up to the requested order and reports any violation (none are known) plus
 all graphs that attain the bound exactly.
 
-Order 8 takes about 4 s, most of it building the order-8 catalog; pass a
+Order 8 takes about 2 s, about 1.2 s of it building the catalogs; pass a
 smaller bound for a quick look.
 """
 

@@ -106,7 +106,10 @@ def test_catalog_matches_the_plain_dedup_oracle():
 
 def test_catalog_canonicalises_only_the_children_that_pass_the_test(monkeypatch):
     # one uncached build per order from the cached order below it; the
-    # plain dedup canonicalises 0, 1, 3, 14, 90, 651 and 7,056 children here
+    # plain dedup canonicalises 0, 1, 3, 14, 90, 651 and 7,056 children
+    # here, the invariant test over every attachment 0, 1, 3, 8, 34, 175
+    # and 1,477, and over one attachment per orbit of Aut(parent) only
+    # these
     enumeration._connected_catalog(6)
     calls = []
     monkeypatch.setattr(
@@ -117,8 +120,114 @@ def test_catalog_canonicalises_only_the_children_that_pass_the_test(monkeypatch)
         before = len(calls)
         assert len(enumeration._connected_catalog.__wrapped__(n)) == CONNECTED_COUNTS[n]
         per_order.append(len(calls) - before)
-    assert per_order == [0, 1, 3, 8, 34, 175, 1477]
-    assert len(calls) == 1698
+    assert per_order == [0, 1, 2, 6, 21, 114, 902]
+    assert len(calls) == 1046
+
+
+def _automorphisms(k, adj):
+    """Every automorphism of the graph, by trying all k! permutations."""
+    return [
+        perm for perm in permutations(range(k))
+        if all(_image(adj[v], perm) == adj[perm[v]] for v in range(k))
+    ]
+
+
+def _image(mask, perm):
+    return sum(1 << perm[u] for u in range(len(perm)) if mask >> u & 1)
+
+
+def _small_connected_graphs():
+    """Every connected class of order <= 6, as catalogued and relabeled."""
+    rng = Random(11)
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            yield g
+            yield _relabeled(g, rng)
+
+
+def test_reported_generators_are_automorphisms():
+    for g in _small_connected_graphs():
+        gens = []
+        perm = enumeration._canonical_perm(g.n, g.adj, gens)
+        assert perm == enumeration._canonical_perm(g.n, g.adj)
+        for gen in gens:
+            assert sorted(gen) == list(range(g.n))
+            assert all(_image(g.adj[v], gen) == g.adj[gen[v]] for v in range(g.n))
+
+
+def test_orbit_leaders_are_the_orbit_minima():
+    for g in _small_connected_graphs():
+        group = _automorphisms(g.n, g.adj)
+        minima = sorted({
+            min(_image(m, perm) for perm in group) for m in range(1, 1 << g.n)
+        })
+        assert enumeration._orbit_leaders(g.n, g.adj) == minima
+
+
+def _is_cut_vertex(adj, w):
+    rest = (1 << len(adj)) - 1 & ~(1 << w)
+    reached = frontier = rest & -rest
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        fresh = adj[low.bit_length() - 1] & rest & ~reached
+        reached |= fresh
+        frontier |= fresh
+    return reached != rest
+
+
+def _new_vertex_wins(adj):
+    """The child-by-child test: no non-cut vertex of ``adj`` has a larger
+    ``(degree, sorted neighbour degrees)`` than the last vertex."""
+    v = len(adj) - 1
+    deg = [a.bit_count() for a in adj]
+
+    def invariant(w):
+        return deg[w], sorted(deg[u] for u in range(v + 1) if adj[w] >> u & 1)
+
+    return not any(
+        invariant(w) > invariant(v) and not _is_cut_vertex(adj, w) for w in range(v)
+    )
+
+
+def test_deletion_test_matches_the_child_by_child_oracle():
+    # every attachment of every parent: children of orders 2..7
+    for k in range(1, 7):
+        for parent in enumerate_connected(k):
+            wins = enumeration._deletion_test(parent)
+            bit = 1 << k
+            for attach in range(1, bit):
+                child = [a | bit if attach >> v & 1 else a for v, a in enumerate(parent.adj)]
+                assert wins(attach) == _new_vertex_wins([*child, attach]), (parent, attach)
+
+
+def _sorted_tuple_colors(n, adj):
+    """Refinement with each signature a (color, sorted neighbour colors) tuple."""
+    colors = [a.bit_count() for a in adj]
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[u] for u in range(n) if adj[v] >> u & 1)))
+            for v in range(n)
+        ]
+        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        fresh = [ranking[s] for s in sigs]
+        if fresh == colors:
+            return colors
+        colors = fresh
+
+
+@pytest.mark.parametrize("spec", ["gh:2", "cycle:24", "path:23", "hgraph", "gstar:complete:2"])
+def test_refined_colors_match_the_sorted_tuple_reference_on_families(spec):
+    g = _relabeled(make_family(spec), Random(5))
+    assert enumeration._refined_colors(g.n, g.adj) == _sorted_tuple_colors(g.n, g.adj)
+
+
+def test_refined_colors_match_the_sorted_tuple_reference_to_order_eight():
+    rng = Random(13)
+    for n in range(1, 9):
+        for g in enumerate_connected(n):
+            h = _relabeled(g, rng)
+            assert enumeration._refined_colors(h.n, h.adj) == _sorted_tuple_colors(h.n, h.adj)
 
 
 def test_catalog_members_are_connected_and_distinct():
