@@ -192,13 +192,17 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
     ``cycle:14`` about 1.5 s (single runs, CPython 3.11, 2 shared CPUs).
     """
     perm = _canonical_perm(g.n, g.adj)
-    inv = [0] * g.n
+    bit = [0] * g.n
     for pos, v in enumerate(perm):
-        inv[v] = pos
-    out = [0] * g.n
-    for pos, v in enumerate(perm):
-        for u in iter_mask(g.adj[v]):
-            out[pos] |= 1 << inv[u]
+        bit[v] = 1 << pos
+    out = []
+    for v in perm:
+        row, relabeled = g.adj[v], 0
+        while row:
+            low = row & -row
+            relabeled |= bit[low.bit_length() - 1]
+            row ^= low
+        out.append(relabeled)
     return tuple(out)
 
 

@@ -23,11 +23,12 @@ and each check keeps its own columns and predicate. family-monotone solves
 only Dominator starts, so it walks the catalog itself.
 
 ``CHECKS`` maps each kind to its runner, and the runner's keyword defaults
-are the check's params. A param shared between checks has one name: the
-order ranges are ``n_min`` and ``n_max``, and the sampled checks
-(continuation-principle, forest-monotone, star-addition) draw ``trials``
-instances for each of their ``orders`` from ``seed``. So each ``verify``
-flag sets the param of its own name.
+are the check's params. Every param is one of ``n_min`` and ``n_max`` (the
+order range of a catalog or path check) and ``seed`` and ``trials`` (the
+sampled checks, continuation-principle, forest-monotone and star-addition,
+draw ``trials`` instances for each of their orders from ``seed``), so each
+``verify`` flag sets the param of its own name. Every other instance set
+(families, orders, star sizes) is fixed inside its runner.
 
 Reports are deterministic for a fixed seed; violations carry enough data
 (graph6, marks, seed) to replay any finding with one solve call.
@@ -42,7 +43,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .enumeration import (
     MAX_ENUM_ORDER, all_trees, canonical_form, enumerate_connected, tree_classes
@@ -72,7 +73,6 @@ from .rules import (
     ForbiddenFamily,
     close_marks,
     initial_closure,
-    parse_forbidden,
     single_edge_family,
     single_vertex_family,
     three_path_family,
@@ -168,11 +168,9 @@ def ceil_three_sevenths(n: int) -> int:
 # --- individual checks ---------------------------------------------------
 
 
-def _check_diff_at_most_one(
-    n_min: int = 1, n_max: int = 6, fams: Sequence[str] = ("K1", "K2")
-) -> tuple:
+def _check_diff_at_most_one(n_min: int = 1, n_max: int = 6) -> tuple:
     rows, violations, extremal = [], [], []
-    for fam in map(parse_forbidden, fams):
+    for fam in (single_vertex_family(), single_edge_family()):
         for g, d, s in _solved_catalog(n_min, n_max, fam):
             row = {**_head(g, fam.tag), "d_value": d, "s_value": s, "diff": d - s}
             rows.append(row)
@@ -183,12 +181,10 @@ def _check_diff_at_most_one(
     return rows, violations, extremal, {}
 
 
-def _check_sandwich(
-    n_min: int = 1, n_max: int = 6, fams: Sequence[str] = ("K1", "K2")
-) -> tuple:
+def _check_sandwich(n_min: int = 1, n_max: int = 6) -> tuple:
     rows, violations, extremal = [], [], []
     tight = 0
-    for fam in map(parse_forbidden, fams):
+    for fam in (single_vertex_family(), single_edge_family()):
         for g, d, s in _solved_catalog(n_min, n_max, fam):
             iota = isolation_number(g, fam).size
             # a graph with nothing to isolate has a zero-move game; the
@@ -258,7 +254,7 @@ def _check_half_bound(n_min: int = 1, n_max: int = 6) -> tuple:
     return rows, violations, extremal, {}
 
 
-def _check_spanning_gap(ns: Sequence[int] = (3, 4)) -> tuple:
+def _check_spanning_gap() -> tuple:
     rows, violations, extremal = [], [], []
     fam = single_edge_family()
 
@@ -275,7 +271,7 @@ def _check_spanning_gap(ns: Sequence[int] = (3, 4)) -> tuple:
         if got != want:
             violations.append({**row, "observed": got})
 
-    for n in ns:
+    for n in (3, 4):
         expect(g_triangles(n), n)
         for k in range(1, n):
             expect(f_triangles(n, k), n - k)
@@ -298,26 +294,16 @@ def _random_closed_marks(g: Graph, fam: ForbiddenFamily, rng: random.Random) -> 
 
 
 def _random_forest_states(
-    orders: Sequence[int], trials: int, fam: ForbiddenFamily, rng: random.Random
-) -> list[tuple[Graph, int]]:
-    """``trials`` random forests of each order with random closed marks,
-    all built at once, so an order past the graph cap fails before any
-    solve."""
-    states = []
+    orders: range, trials: int, fam: ForbiddenFamily, rng: random.Random
+) -> Iterator[tuple[Graph, int]]:
+    """``trials`` random forests of each order with random closed marks."""
     for n in orders:
         for _ in range(trials):
             g = _random_forest(n, rng)
-            states.append((g, _random_closed_marks(g, fam, rng)))
-    return states
+            yield g, _random_closed_marks(g, fam, rng)
 
 
-def _check_forest_monotone(
-    tree_n_max: int = 9,
-    pruefer_n_max: int = 6,
-    orders: Sequence[int] = (6, 7, 8, 9),
-    trials: int = 100,
-    seed: int = 0,
-) -> tuple:
+def _check_forest_monotone(trials: int = 100, seed: int = 0) -> tuple:
     rows, violations, extremal = [], [], []
     fam = single_edge_family()
     rng = random.Random(seed)
@@ -335,29 +321,21 @@ def _check_forest_monotone(
         if d.value > s.value:
             violations.append({**row, "observed": (d.value, s.value), "expected": "d<=s"})
 
-    # every order is checked against its budget before the first solve; the
-    # highest tree order is built first, as building it builds the lower ones
-    labeled = [all_trees(n) for n in range(1, pruefer_n_max + 1)]
-    classes = [tree_classes(n) for n in range(tree_n_max, pruefer_n_max, -1)]
-    sampled = _random_forest_states(orders, trials, fam, rng)
-    for tree in chain.from_iterable(labeled):
+    for tree in chain.from_iterable(map(all_trees, range(1, 7))):
         check_state(tree, 0, "pruefer")
-    for tree in chain.from_iterable(reversed(classes)):
+    for tree in chain.from_iterable(map(tree_classes, range(7, 10))):
         check_state(tree, 0, "tree-class")
-    for g, marks in sampled:
+    for g, marks in _random_forest_states(range(6, 10), trials, fam, rng):
         check_state(g, marks, "random-forest")
     return rows, violations, extremal, {"seed": seed}
 
 
-def _check_continuation(
-    orders: Sequence[int] = (4, 5, 6, 7), trials: int = 200, seed: int = 0
-) -> tuple:
+def _check_continuation(trials: int = 200, seed: int = 0) -> tuple:
     rows, violations, extremal = [], [], []
     fams = [single_vertex_family(), single_edge_family(), three_path_family()]
     rng = random.Random(seed)
-    # every order is checked against the catalog cap before the first solve
-    pools = [list(enumerate_connected(n)) for n in orders]
-    for pool in pools:
+    for n in range(4, 8):
+        pool = list(enumerate_connected(n))
         for t in range(trials):
             g = rng.choice(pool)
             fam = fams[t % len(fams)]
@@ -421,26 +399,17 @@ def _check_path_exact(n_min: int = 6, n_max: int = 23) -> tuple:
     return rows, violations, extremal, {"exact_orders": covered}
 
 
-def _check_star_addition(
-    orders: Sequence[int] = (4, 5, 6, 7, 8),
-    trials: int = 25,
-    star_sizes: Sequence[int] = (1, 2, 3),
-    seed: int = 0,
-) -> tuple:
+def _check_star_addition(trials: int = 25, seed: int = 0) -> tuple:
     rows, violations, extremal = [], [], []
     fam = single_edge_family()
     rng = random.Random(seed)
+    stars = {r: star_graph(r) for r in (1, 2, 3)}
 
-    instances = [(t, 0) for t in tree_classes(6)]
-    instances += _random_forest_states(orders, trials, fam, rng)
-    # every union is built before the first solve, so an order past the
-    # graph cap fails at once
-    stars = [star_graph(r) for r in star_sizes]
-    unions = [[disjoint_union(g, star) for star in stars] for g, _ in instances]
-
-    for (g, marks), with_stars in zip(instances, unions):
+    trees = ((t, 0) for t in tree_classes(6))
+    for g, marks in chain(trees, _random_forest_states(range(4, 9), trials, fam, rng)):
         base_d, base_s = (res.value for res in solve_both(g, fam, marks))
-        for r, u in zip(star_sizes, with_stars):
+        for r, star in stars.items():
+            u = disjoint_union(g, star)
             ud, us = (res.value for res in solve_both(u, fam, marks))
             row = {
                 **_head(g, fam.tag),

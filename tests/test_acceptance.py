@@ -207,9 +207,6 @@ def test_criterion_7_forest_monotonicity():
     t0 = time.perf_counter()
     report = run_check(
         CheckKind.FOREST_MONOTONE,
-        tree_n_max=9,
-        pruefer_n_max=6,
-        orders=(6, 7, 8, 9),
         trials=100,
         seed=0,
     )
@@ -228,7 +225,6 @@ def test_criterion_8_continuation_principle():
     t0 = time.perf_counter()
     report = run_check(
         CheckKind.CONTINUATION_PRINCIPLE,
-        orders=(4, 5, 6, 7),
         trials=200,
         seed=0,
     )

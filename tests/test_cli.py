@@ -4,15 +4,14 @@ import json
 import os
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 import pytest
 
 import isogame.harness as harness
-from isogame import CheckKind, GameResult, encode_graph6, path_graph
+from isogame import CheckKind, GameResult, encode_graph6, path_graph, run_check
 from isogame.cli import main
-from isogame.harness import CHECKS, check_defaults
+from isogame.harness import check_defaults
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -249,19 +248,6 @@ def test_family_alltrees_emits_all_lines(capsys):
     assert len(out.splitlines()) == 16
 
 
-def test_forest_monotone_tree_order_above_the_cap_exits_one(monkeypatch, capsys):
-    # no flag sets the tree order, so raise the check's default past the cap
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a tree was solved before the order was checked")
-
-    runner = partial(harness._check_forest_monotone, tree_n_max=17)
-    monkeypatch.setattr(harness, "solve_both", no_solve)
-    monkeypatch.setitem(CHECKS, CheckKind.FOREST_MONOTONE, runner)
-    code, out, err = run_cli(capsys, "verify", "--check", "forest-monotone")
-    assert code == 1 and out == ""
-    assert "tree classes capped at order 16, got 17" in err
-
-
 def test_family_alltrees_above_the_cap_exits_one(capsys):
     code, out, err = run_cli(capsys, "family", "--spec", "alltrees:12")
     assert code == 1
@@ -411,6 +397,19 @@ def test_readme_flag_table_matches_the_registry():
         for flag in ("n_min", "n_max", "seed", "trials"):
             cell = row[f"`--{flag.replace('_', '-')}`"]
             assert cell == ("yes" if flag in defaults else ""), (kind.value, flag)
+
+
+def test_every_check_param_is_a_verify_flag(capsys):
+    # each param is set by the verify flag of its own name, so every report
+    # at its defaults replays from the command line with no other flag
+    flags = {"n_min", "n_max", "seed", "trials"}
+    for kind in CheckKind:
+        assert set(check_defaults(kind)) <= flags, kind.value
+        code, out, _ = run_cli(
+            capsys, "verify", "--check", kind.value, "--format", "json", "--reproducible"
+        )
+        assert code == 0
+        assert out == run_check(kind).to_json(reproducible=True) + "\n", kind.value
 
 
 def test_help_exits_zero(capsys):

@@ -250,6 +250,13 @@ def _relabeled(g, rng):
     return Graph(g.n, tuple(adj))
 
 
+def test_catalog_graphs_are_their_own_canonical_forms():
+    # the catalog stores canonical forms, so relabelling one is the identity
+    for n in range(1, 9):
+        for g in enumerate_connected(n):
+            assert canonical_form(g) == g.adj
+
+
 def test_canonical_form_is_relabeling_invariant():
     rng = Random(7)
     for g in list(enumerate_connected(5)) + list(enumerate_connected(6))[:40]:
@@ -270,7 +277,7 @@ def test_canonical_form_is_fast_on_large_twin_classes(spec):
 
 
 def test_enumeration_rejects_out_of_range_orders():
-    with pytest.raises(OrderTooLarge):
+    with pytest.raises(OrderTooLarge, match="connected enumeration supports 1..8, got 9"):
         list(enumerate_connected(9))
     with pytest.raises(OrderTooLarge):
         list(enumerate_connected(0))

@@ -71,7 +71,7 @@ def test_build_graph_collapses_duplicates_and_symmetrizes():
 
 
 def test_build_graph_rejects_bad_input():
-    with pytest.raises(OrderTooLarge):
+    with pytest.raises(OrderTooLarge, match="order 64 outside 0..63"):
         build_graph(64, [])
     with pytest.raises(BadEdge):
         build_graph(3, [(1, 1)])
@@ -105,6 +105,12 @@ def test_disjoint_union_shifts_second_block():
     assert g.n == 5
     assert g.num_edges == 4
     assert g.has_edge(3, 4) and not g.has_edge(2, 3)
+
+
+def test_disjoint_union_rejects_a_union_past_the_order_cap():
+    with pytest.raises(OrderTooLarge, match="union order 64 exceeds 63"):
+        disjoint_union(path_graph(61), path_graph(3))
+    assert disjoint_union(path_graph(60), path_graph(3)).n == 63
 
 
 @given(graphs_with_masks(max_n=7))

@@ -10,7 +10,6 @@ from isogame import (
     BudgetExceeded,
     CheckKind,
     GameResult,
-    OrderTooLarge,
     conjecture_sweep,
     cycle_graph,
     path_graph,
@@ -22,17 +21,15 @@ from isogame.harness import CHECKS, ceil_three_sevenths, check_defaults, find_wi
 # small overrides per kind, so every registered runner executes quickly
 SMALL_PARAMS = {
     CheckKind.DIFF_AT_MOST_ONE: {"n_max": 3},
-    CheckKind.CONTINUATION_PRINCIPLE: {"orders": (4,), "trials": 3},
-    CheckKind.SANDWICH: {"n_max": 3, "fams": ("P3",)},
+    CheckKind.CONTINUATION_PRINCIPLE: {"trials": 1},
+    CheckKind.SANDWICH: {"n_max": 3},
     CheckKind.FAMILY_MONOTONE: {"n_max": 3},
     CheckKind.HALF_BOUND: {"n_min": 2, "n_max": 3},
-    CheckKind.SPANNING_GAP: {"ns": (3,)},
-    CheckKind.FOREST_MONOTONE: {
-        "tree_n_max": 5, "pruefer_n_max": 4, "orders": (5,), "trials": 2,
-    },
+    CheckKind.SPANNING_GAP: {},
+    CheckKind.FOREST_MONOTONE: {"trials": 2},
     CheckKind.PATH_BOUNDS: {"n_max": 8},
     CheckKind.PATH_EXACT: {"n_min": 7, "n_max": 8},
-    CheckKind.STAR_ADDITION: {"orders": (4,), "trials": 2, "star_sizes": (1,)},
+    CheckKind.STAR_ADDITION: {"trials": 2},
     CheckKind.FAMILY_VALUES: {},
     CheckKind.CONJECTURE_SWEEP: {"n_max": 4},
 }
@@ -48,7 +45,7 @@ def test_every_check_kind_is_registered():
         # --seed each set the param of their own name
         defaults = check_defaults(kind)
         assert ("trials" in defaults) == (kind in sampled), kind.value
-        assert ({"orders", "trials", "seed"} <= set(defaults)) == (kind in sampled)
+        assert ({"trials", "seed"} <= set(defaults)) == (kind in sampled)
         # every param the runner takes has a default, so run_check can
         # call it with no params at all
         params = inspect.signature(runner).parameters.values()
@@ -67,7 +64,7 @@ def test_run_check_rejects_unknown_params_and_empty_sets():
     with pytest.raises(BadSpec, match="trials"):
         run_check(CheckKind.FAMILY_VALUES, trials=1)
     with pytest.raises(BadSpec, match="no instances"):
-        run_check(CheckKind.SPANNING_GAP, ns=())
+        run_check(CheckKind.CONTINUATION_PRINCIPLE, trials=0)
     with pytest.raises(BadSpec, match="does not accept jobs"):
         run_check("conjecture-sweep", jobs=1)
 
@@ -89,24 +86,6 @@ def test_run_check_rejects_a_seed_that_is_not_an_int(kind, seed):
     # a report must replay from its recorded seed, and --seed reads an int
     with pytest.raises(BadSpec, match=rf"check {kind} needs an integer seed, got {seed!r}"):
         run_check(kind, seed=seed)
-
-
-def test_forest_monotone_rejects_large_pruefer_orders_before_solving(monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a tree was solved before the order was checked")
-
-    monkeypatch.setattr(harness, "solve_both", no_solve)
-    with pytest.raises(BudgetExceeded, match="capped"):
-        run_check("forest-monotone", pruefer_n_max=12)
-
-
-def test_forest_monotone_rejects_large_tree_orders_before_solving(monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a tree was solved before the order was checked")
-
-    monkeypatch.setattr(harness, "solve_both", no_solve)
-    with pytest.raises(BudgetExceeded, match="tree classes capped at order 16, got 17"):
-        run_check("forest-monotone", tree_n_max=17)
 
 
 def test_diff_at_most_one_small():
@@ -149,30 +128,21 @@ def test_family_values_check():
 
 
 def test_forest_monotone_small_params():
-    report = run_check(
-        CheckKind.FOREST_MONOTONE,
-        tree_n_max=7,
-        pruefer_n_max=5,
-        orders=(5, 6),
-        trials=10,
-        seed=1,
-    )
+    report = run_check(CheckKind.FOREST_MONOTONE, trials=10, seed=1)
     assert report.ok
-    assert report.instances == (1 + 1 + 3 + 16 + 125) + (6 + 11) + 20
+    # labeled trees of order 1..6, tree classes of order 7..9, and 10
+    # random forests of each order 6..9
+    assert report.instances == (1 + 1 + 3 + 16 + 125 + 1296) + (11 + 23 + 47) + 40
 
 
 def test_continuation_small_params():
-    report = run_check(
-        CheckKind.CONTINUATION_PRINCIPLE, orders=(4, 5), trials=30, seed=2
-    )
+    report = run_check(CheckKind.CONTINUATION_PRINCIPLE, trials=15, seed=2)
     assert report.ok
-    assert report.instances == 60
+    assert report.instances == 60  # 15 for each order 4..7
 
 
 def test_star_addition_small_params():
-    report = run_check(
-        CheckKind.STAR_ADDITION, orders=(4, 5), trials=8, star_sizes=(1, 2), seed=3
-    )
+    report = run_check(CheckKind.STAR_ADDITION, trials=8, seed=3)
     assert report.ok
     for row in report.rows:
         base_d, union_d = row["d_value"]
@@ -180,10 +150,10 @@ def test_star_addition_small_params():
 
 
 def test_randomized_checks_are_deterministic_for_a_seed():
-    a = run_check(CheckKind.CONTINUATION_PRINCIPLE, orders=(4,), trials=20, seed=7)
-    b = run_check(CheckKind.CONTINUATION_PRINCIPLE, orders=(4,), trials=20, seed=7)
+    a = run_check(CheckKind.CONTINUATION_PRINCIPLE, trials=5, seed=7)
+    b = run_check(CheckKind.CONTINUATION_PRINCIPLE, trials=5, seed=7)
     assert a.rows == b.rows
-    c = run_check(CheckKind.CONTINUATION_PRINCIPLE, orders=(4,), trials=20, seed=8)
+    c = run_check(CheckKind.CONTINUATION_PRINCIPLE, trials=5, seed=8)
     assert a.rows != c.rows
 
 
@@ -246,31 +216,6 @@ def test_catalog_order_range_fails_before_any_solve(monkeypatch, kind):
             run_check(kind, n_min=0)
 
 
-@pytest.mark.parametrize(
-    "kind, orders, error",
-    [
-        ("continuation-principle", (4, 9), "connected enumeration supports 1..8, got 9"),
-        ("forest-monotone", (6, 70), "order 70 outside 0..63"),
-        ("star-addition", (4, 61), "union order 64 exceeds 63"),
-    ],
-    ids=["continuation-principle", "forest-monotone", "star-addition"],
-)
-def test_sampled_order_range_fails_before_any_solve(monkeypatch, kind, orders, error):
-    # a sampled check builds every instance before its first solve, so an
-    # order past its cap fails at once, not after the lower orders solved
-    calls = []
-    solve_both = harness.solve_both
-
-    def counting_solve_both(*args, **kwargs):
-        calls.append(args)
-        return solve_both(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "solve_both", counting_solve_both)
-    with pytest.raises(OrderTooLarge, match=error):
-        run_check(kind, orders=orders)
-    assert calls == []
-
-
 def test_ceiling_helper():
     assert ceil_three_sevenths(6) == 3
     assert ceil_three_sevenths(7) == 3
@@ -284,14 +229,14 @@ def test_violations_are_recorded_and_flagged(monkeypatch):
         return GameResult(99, 0, tuple())
 
     monkeypatch.setattr(harness, "solve", wrong_solve)
-    report = run_check(CheckKind.SPANNING_GAP, ns=(3,))
+    report = run_check(CheckKind.SPANNING_GAP)
     assert not report.ok
     assert all(v["observed"] == 99 for v in report.violations)
     assert {"graph6", "observed", "expected"} <= set(report.violations[0])
 
 
 def test_report_summary_shapes():
-    report = run_check(CheckKind.SPANNING_GAP, ns=(3,))
+    report = run_check(CheckKind.SPANNING_GAP)
     payload = json.loads(report.to_json())
     assert payload["kind"] == "spanning-gap"
     assert payload["ok"] is True
@@ -306,15 +251,15 @@ def test_report_summary_shapes():
 PINNED_DIGESTS = {
     "diff-at-most-one": (
         "5ce672d6e3ddbff3fcca3b8863bda87c26e1c96904a5fdfc29f3f3e199a1d79c",
-        "92dba3049ce1fbb65e14820d8dc2acf79c481d8bee03ee335cf87e05fb72c60b",
+        "69e468cb8d57345d33cae9bd4050a78020f9ffd697aa0469e80a7b9640bee34d",
     ),
     "continuation-principle": (
         "f3f5e3cbad1c2d359c699b88a14e46d5dcf2496be71bd31308005d7999dbeb97",
-        "bcc0196c1b0868db04bc11b6e089b459b4c1443e2b1c8cedc892b41b3192e9e9",
+        "dfc0a6e1f723b2002690ffcd7e5f91c932d2c24c59564a8f621da7b06d6f3f4e",
     ),
     "sandwich": (
         "67af8faed112b1583872cebcac0c5aefef9dc4026984c419e647cf4e54d5181b",
-        "5b81045717d439a13a0ce2f3ccf3ebdd0471631917d24a3e26ad4e3d7d2de790",
+        "053e6e3c913a9fb97fdd49b45d5defe92658cf773a6cea696b41066eff93c0b5",
     ),
     "family-monotone": (
         "3679df5653d845e575310e2b60c3e3afc78d643e2cc7d05dc247d0cef6ad295f",
@@ -326,11 +271,11 @@ PINNED_DIGESTS = {
     ),
     "spanning-gap": (
         "27f72a322e2b7c9d15e4022a610751808345ce3f475b462789cf08eab80ad745",
-        "d0a748ae16823f4eefda6c4ab43de4507d303476877ab9be2925d9aacaa646d1",
+        "2d5b826ace33e6f6ac9a1af24a5aa8f288958dea478028e30f2e66876f5dba29",
     ),
     "forest-monotone": (
         "1bf649391de5b64fa3ccf18a2a356dda3b832e0074e52d610e96346ab458ccbf",
-        "e99498dcd2650838f553c3c807d96183d5f086dbbdeb30c458aa4bf6ca78d6de",
+        "1a05e0eb2bb7a398d3d5bd7e812e228ab289105458f0ac816bf0f8dee60f7dd8",
     ),
     "path-bounds": (
         "76ca341e251aaa0c68ebc1c30aa6f30a9f793ad5680801a27d30db59328d1f86",
@@ -342,7 +287,7 @@ PINNED_DIGESTS = {
     ),
     "star-addition": (
         "080fed909671724f76bcda9a590e6c13e83dda53a134597e38a8ae87768c0a50",
-        "770f30116f96b5d56598fc42060fec571a4feb69441d22f151d6805c28d93d04",
+        "b1ef1b440d126a99555ebc863969c991b3d21ed8a5508a76cfd6ecbb54f1b3ab",
     ),
     "family-values": (
         "7d2b7fb7cf824c8986bcc8dd93ac3fd830e6ba1de44a9fcd5c91353a410079cf",
