@@ -12,7 +12,7 @@ First, a parent P tries only the least attachment mask in each orbit of
 its automorphism group. An automorphism of P that maps one mask onto
 another, extended by fixing the new vertex, is an isomorphism between the
 two children, so the other masks of an orbit only repeat a class. The
-generators come from the parent's own canonical search.
+generators come from the parent's own canonical search, twin swaps too.
 
 Second, a child goes on to ``canonical_form`` only when no non-cut vertex
 of it has a larger invariant ``(degree, sorted neighbour degrees)`` than
@@ -111,8 +111,8 @@ def _canonical_perm(
 
     Given a list, it also collects automorphisms (``perm[v]`` is the image
     of ``v``): each leaf that ties the final best key maps the best order
-    onto its own. With the twin transpositions, which the search skips,
-    they generate the whole automorphism group.
+    onto its own, and each twin the search skips adds its swap with the
+    tried twin, once. Together they generate the whole automorphism group.
     """
     if n == 1:
         return [0]
@@ -127,6 +127,8 @@ def _canonical_perm(
     cur = [0] * n
     placed: list[int] = []
     used = 0
+    # skipped twin -> the tried twin it repeats; no new best key drops it
+    twins: dict[int, int] = {}
 
     def place(p: int, smaller: bool) -> bool:
         # Returns True when the best key was replaced somewhere below, so
@@ -157,7 +159,8 @@ def _canonical_perm(
             row = adj[v]
             # swapping two unplaced twins is an automorphism that fixes the
             # prefix, so a twin of a vertex tried here can only repeat its keys
-            if tried and any(row & ~(1 << u) == adj[u] & ~bit for u in tried):
+            if tried and any(row & ~(1 << (twin := u)) == adj[u] & ~bit for u in tried):
+                twins.setdefault(v, twin)
                 continue
             tried.append(v)
             block = 0
@@ -179,8 +182,16 @@ def _canonical_perm(
             used &= ~bit
         return updated
 
-    place(0, False)
+    try:
+        place(0, False)
+    finally:
+        del place
     assert best_perm is not None
+    if automorphisms is not None:
+        for v, u in twins.items():
+            swap = list(range(n))
+            swap[u], swap[v] = v, u
+            automorphisms.append(swap)
     return best_perm
 
 
@@ -215,15 +226,6 @@ def _orbit_leaders(k: int, adj: tuple[int, ...]) -> list[int]:
     automorphism group, ascending."""
     gens: list[list[int]] = []
     _canonical_perm(k, adj, gens)
-    for w in range(1, k):
-        # one transposition per vertex and its least twin generates every
-        # permutation of a twin class
-        for u in range(w):
-            if adj[u] & ~(1 << w) == adj[w] & ~(1 << u):
-                swap = list(range(k))
-                swap[u], swap[w] = w, u
-                gens.append(swap)
-                break
     size = 1 << k
     images = []
     for gen in gens:

@@ -5,6 +5,7 @@ keeps the connected ones, and canonicalizes by minimizing over all n!
 permutations — no shared code with the library's refined search.
 """
 
+import gc
 import time
 from itertools import combinations, permutations
 from random import Random
@@ -145,7 +146,23 @@ def _small_connected_graphs():
             yield _relabeled(g, rng)
 
 
+def _generated_group(n, gens):
+    """Every product of the generators, closed from the identity."""
+    group = {tuple(range(n))}
+    stack = list(group)
+    while stack:
+        perm = stack.pop()
+        for gen in gens:
+            product = tuple(gen[v] for v in perm)
+            if product not in group:
+                group.add(product)
+                stack.append(product)
+    return group
+
+
 def test_reported_generators_are_automorphisms():
+    # the leaf ties and the twin swaps the search reports must generate
+    # the whole group, not just automorphisms with the right mask orbits
     for g in _small_connected_graphs():
         gens = []
         perm = enumeration._canonical_perm(g.n, g.adj, gens)
@@ -153,6 +170,24 @@ def test_reported_generators_are_automorphisms():
         for gen in gens:
             assert sorted(gen) == list(range(g.n))
             assert all(_image(g.adj[v], gen) == g.adj[gen[v]] for v in range(g.n))
+        assert len(_generated_group(g.n, gens)) == len(_automorphisms(g.n, g.adj))
+
+
+def test_canonical_search_leaves_nothing_for_the_cyclic_collector():
+    # the ordering search calls itself through a closure cell and clears it
+    # when it returns, so a canonical form or a catalog build frees its
+    # search by reference counting instead of leaving it until gc runs
+    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            canonical_form(g)
+        assert gc.collect() == 0
+        enumeration._connected_catalog.__wrapped__(8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_orbit_leaders_are_the_orbit_minima():
