@@ -22,9 +22,11 @@ print(f"  {report.instances} instances, {len(report.violations)} violations, "
       f"{report.metadata['d_upper_tight']} hit the 2*iota-1 ceiling")
 
 print()
-print("== Nested pre-markings never lengthen the game ==")
-report = run_check(CheckKind.CONTINUATION_PRINCIPLE, trials=50, seed=0)
-print(f"  {report.instances} nested pairs, {len(report.violations)} violations")
+print("== One more pre-marked vertex never lengthens the game ==")
+report = run_check(CheckKind.CONTINUATION_PRINCIPLE, n_max=5)
+print(f"  {report.instances} graph-family pairs, {report.metadata['mark_sets']} mark sets, "
+      f"{report.metadata['steps']} one-vertex additions, "
+      f"{len(report.violations)} violations")
 
 print()
 print("== On forests the D-game never outlasts the S-game ==")

@@ -114,8 +114,6 @@ def _canonical_perm(
     onto its own, and each twin the search skips adds its swap with the
     tried twin, once. Together they generate the whole automorphism group.
     """
-    if n == 1:
-        return [0]
     colors = _refined_colors(n, adj)
     cells: dict[int, list[int]] = {}
     for v in range(n):
@@ -322,12 +320,17 @@ def _connected_catalog(n: int) -> tuple[Graph, ...]:
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """One canonical representative per isomorphism class of connected graphs.
 
-    Capped at order 8; the level catalogs are cached, so repeated sweeps
-    over the same orders are free after the first pass.
+    Capped at order 8, which is checked at the call; the level catalogs are
+    built at the first ``next()`` and cached, so repeated sweeps over the
+    same orders are free after the first pass.
     """
     if not 1 <= n <= MAX_ENUM_ORDER:
         raise OrderTooLarge(f"connected enumeration supports 1..{MAX_ENUM_ORDER}, got {n}")
-    yield from _connected_catalog(n)
+
+    def catalog() -> Iterator[Graph]:
+        yield from _connected_catalog(n)
+
+    return catalog()
 
 
 # --- trees ---------------------------------------------------------------
@@ -337,8 +340,6 @@ def tree_from_pruefer(n: int, seq: tuple[int, ...]) -> Graph:
     """Decode a Pruefer sequence of length n-2 into its labeled tree."""
     if n == 1:
         return Graph(1, (0,))
-    if n == 2:
-        return Graph(2, (2, 1))
     deg = [1] * n
     for x in seq:
         deg[x] += 1

@@ -20,18 +20,21 @@ The catalog checks (diff-at-most-one, sandwich, half-bound and
 conjecture-sweep) build their rows from ``_solved_catalog``, which solves
 both starts of each catalog graph; each check walks it on its own, once per
 family, with its own columns and predicate. family-monotone solves only
-Dominator starts, so it walks the catalog itself.
+Dominator starts, and continuation-principle solves both starts from every
+mark set of a graph over one shared table, so each walks the catalog
+itself.
 
 ``CHECKS`` maps each kind to its runner, and the runner's keyword defaults
 are the check's params. Every param is one of ``n_min`` and ``n_max`` (the
 order range of a catalog or path check) and ``seed`` and ``trials`` (the
-sampled checks, continuation-principle, forest-monotone and star-addition,
-draw ``trials`` instances for each of their orders from ``seed``), so each
-``verify`` flag sets the param of its own name. Every other instance set
-(families, orders, star sizes) is fixed inside its runner.
+sampled checks, forest-monotone and star-addition, draw ``trials``
+instances for each of their orders from ``seed``), so each ``verify`` flag
+sets the param of its own name. Every other instance set (families,
+orders, star sizes) is fixed inside its runner.
 
 Reports are deterministic for a fixed seed; violations carry enough data
-(graph6, marks, seed) to replay any finding with one solve call.
+(graph6, marks, seed) to replay any finding with one solve call per value
+they compare.
 """
 
 from __future__ import annotations
@@ -70,11 +73,9 @@ from .oracle import isolation_number
 from .rules import (
     ForbiddenFamily,
     close_marks,
-    initial_closure,
     single_edge_family,
     single_vertex_family,
     three_path_family,
-    updated_marks,
 )
 from .solver import Mover, solve, solve_both
 
@@ -327,40 +328,30 @@ def _check_forest_monotone(trials: int = 100, seed: int = 0) -> tuple:
     return rows, violations, extremal, {"seed": seed}
 
 
-def _check_continuation(trials: int = 200, seed: int = 0) -> tuple:
-    rows, violations, extremal = [], [], []
-    fams = [single_vertex_family(), single_edge_family(), three_path_family()]
-    rng = random.Random(seed)
-    for n in range(4, 8):
-        pool = list(enumerate_connected(n))
-        for t in range(trials):
-            g = rng.choice(pool)
-            fam = fams[t % len(fams)]
-            marked = initial_closure(g, fam, 0).marked
-            for _ in range(rng.randrange(3)):
-                options = [x for x in range(g.n) if g.closed[x] & ~marked]
-                if not options:
-                    break
-                marked = updated_marks(g, fam, marked, rng.choice(options))
-            extras = mask_of(rng.sample(range(g.n), rng.randrange(g.n + 1)))
-            a = close_marks(g, fam, marked | extras)
-            b_sub = mask_of(v for v in mask_list(a) if rng.random() < 0.5)
-            b = close_marks(g, fam, b_sub)
-            ad, a_s = (res.value for res in solve_both(g, fam, a))
-            bd, b_s = (res.value for res in solve_both(g, fam, b))
-            row = {
-                **_head(g, fam.tag),
-                "a_marks": mask_list(a),
-                "b_marks": mask_list(b),
-                "d_value": (ad, bd),
-                "s_value": (a_s, b_s),
-            }
-            rows.append(row)
-            if ad > bd or a_s > b_s:
-                violations.append(
-                    {**row, "observed": (ad, bd, a_s, b_s), "expected": "a<=b both movers"}
-                )
-    return rows, violations, extremal, {"seed": seed}
+def _check_continuation(n_min: int = 1, n_max: int = 6) -> tuple:
+    # every nested pair B <= A is a chain of one-vertex additions, so
+    # checking each B against each B + u covers them all
+    rows, violations = [], []
+    mark_sets = steps = 0
+    for fam in (single_vertex_family(), single_edge_family(), three_path_family()):
+        for g in _connected_range(n_min, n_max):
+            shared = {"memo": {}, "closures": {}}
+            values = [
+                [solve(g, fam, mover, b, **shared).value for mover in Mover]
+                for b in range(1 << g.n)
+            ]
+            rows.append({**_head(g, fam.tag), "d_value": values[0][0], "s_value": values[0][1]})
+            mark_sets += len(values)
+            for b, (bd, bs) in enumerate(values):
+                for u in mask_list(g.full_mask & ~b):
+                    steps += 1
+                    ad, a_s = values[b | 1 << u]
+                    if ad > bd or a_s > bs:
+                        violations.append({
+                            **_head(g, fam.tag), "b_marks": mask_list(b), "added": u,
+                            "observed": (ad, bd, a_s, bs), "expected": "a<=b both movers",
+                        })
+    return rows, violations, [], {"mark_sets": mark_sets, "steps": steps}
 
 
 def _check_path_bounds(n_min: int = 6, n_max: int = 23) -> tuple:

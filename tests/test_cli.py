@@ -183,7 +183,7 @@ def test_verify_violation_exits_two(monkeypatch, capsys):
 
 def test_verify_reproducible_json_is_byte_stable(capsys):
     args = (
-        "verify", "--check", "continuation-principle", "--trials", "10",
+        "verify", "--check", "forest-monotone", "--trials", "10",
         "--seed", "4", "--format", "json", "--reproducible",
     )
     code_a, out_a, _ = run_cli(capsys, *args)
@@ -193,9 +193,7 @@ def test_verify_reproducible_json_is_byte_stable(capsys):
     assert "wall_time_s" not in out_a
 
 
-@pytest.mark.parametrize(
-    "check", ["continuation-principle", "forest-monotone", "star-addition"]
-)
+@pytest.mark.parametrize("check", ["forest-monotone", "star-addition"])
 def test_verify_trials_sets_the_trials_param(capsys, check):
     code, out, _ = run_cli(
         capsys, "verify", "--check", check, "--trials", "3",
@@ -205,9 +203,7 @@ def test_verify_trials_sets_the_trials_param(capsys, check):
     assert json.loads(out)["params"]["trials"] == 3
 
 
-@pytest.mark.parametrize(
-    "check", ["continuation-principle", "forest-monotone", "star-addition"]
-)
+@pytest.mark.parametrize("check", ["forest-monotone", "star-addition"])
 def test_verify_negative_trials_exits_one(monkeypatch, capsys, check):
     # a negative count draws nothing, so the check would pass on its fixed
     # instances alone; it must fail before any solve instead
@@ -301,6 +297,8 @@ def test_output_file_and_memo_cap_flag(tmp_path, capsys):
     [
         # a flag the chosen check does not take
         ("--trials", ["verify", "--check", "sandwich", "--trials", "5"]),
+        ("--trials", ["verify", "--check", "continuation-principle", "--trials", "5"]),
+        ("--seed", ["verify", "--check", "continuation-principle", "--seed", "1"]),
         ("--n-min", ["verify", "--check", "forest-monotone", "--n-min", "3"]),
         ("--n-max", ["verify", "--check", "family-values", "--n-max", "3"]),
         ("--jobs", ["verify", "--check", "family-values", "--n-max", "3", "--jobs", "4"]),
@@ -310,6 +308,7 @@ def test_output_file_and_memo_cap_flag(tmp_path, capsys):
         ("--n-min", ["verify", "--check", "half-bound", "--n-min", "5", "--n-max", "4"]),
         # an order range outside the connected catalog
         ("--n-max", ["verify", "--check", "half-bound", "--n-max", "9"]),
+        ("--n-max", ["verify", "--check", "continuation-principle", "--n-max", "9"]),
         ("--n-min", ["verify", "--check", "sandwich", "--n-min", "0"]),
         # a flag that is gone (verify) or takes only 1 (sweep)
         ("--jobs", ["sweep", "--n-max", "3", "--jobs", "-1"]),
@@ -327,9 +326,11 @@ def test_output_file_and_memo_cap_flag(tmp_path, capsys):
         ("--memo-cap", ["solve", "--family", "path:5", "--memo-cap", "0"]),
     ],
     ids=[
-        "sandwich-trials", "forest-monotone-n-min", "family-values-n-max",
+        "sandwich-trials", "continuation-principle-trials",
+        "continuation-principle-seed", "forest-monotone-n-min", "family-values-n-max",
         "family-values-jobs", "spanning-gap-n-max", "sweep-empty",
-        "half-bound-empty", "half-bound-n-max-capped", "sandwich-n-min-zero",
+        "half-bound-empty", "half-bound-n-max-capped",
+        "continuation-principle-n-max-capped", "sandwich-n-min-zero",
         "sweep-jobs", "conjecture-sweep-jobs",
         "solve-empty-graph6-file", "solve-alltrees-0", "solve-alltrees-negative",
         "solve-family-extra-field", "family-spec-extra-field",

@@ -312,10 +312,20 @@ def test_canonical_form_is_fast_on_large_twin_classes(spec):
 
 
 def test_enumeration_rejects_out_of_range_orders():
+    # raised by the call itself, like all_trees and tree_classes
     with pytest.raises(OrderTooLarge, match="connected enumeration supports 1..8, got 9"):
-        list(enumerate_connected(9))
-    with pytest.raises(OrderTooLarge):
-        list(enumerate_connected(0))
+        enumerate_connected(9)
+    with pytest.raises(OrderTooLarge, match="got 0"):
+        enumerate_connected(0)
+
+
+def test_enumeration_builds_the_catalog_at_the_first_next(monkeypatch):
+    # a consumer that times next() (perfbench's layer trace) sees the build
+    built = []
+    monkeypatch.setattr(enumeration, "_connected_catalog", lambda n: built.append(n) or ())
+    catalog = enumerate_connected(5)
+    assert built == []
+    assert list(catalog) == [] and built == [5]
 
 
 def test_all_trees_counts_and_shape():

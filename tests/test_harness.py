@@ -10,8 +10,12 @@ from isogame import (
     BudgetExceeded,
     CheckKind,
     GameResult,
+    Mover,
     conjecture_sweep,
     cycle_graph,
+    mask_of,
+    parse_forbidden,
+    parse_graph6,
     path_graph,
     run_check,
 )
@@ -21,7 +25,7 @@ from isogame.harness import CHECKS, ceil_three_sevenths, check_defaults, find_wi
 # small overrides per kind, so every registered runner executes quickly
 SMALL_PARAMS = {
     CheckKind.DIFF_AT_MOST_ONE: {"n_max": 3},
-    CheckKind.CONTINUATION_PRINCIPLE: {"trials": 1},
+    CheckKind.CONTINUATION_PRINCIPLE: {"n_max": 4},
     CheckKind.SANDWICH: {"n_max": 3},
     CheckKind.FAMILY_MONOTONE: {"n_max": 3},
     CheckKind.HALF_BOUND: {"n_min": 2, "n_max": 3},
@@ -37,9 +41,7 @@ SMALL_PARAMS = {
 
 def test_every_check_kind_is_registered():
     assert set(CHECKS) == set(CheckKind) == set(SMALL_PARAMS)
-    sampled = {
-        CheckKind.CONTINUATION_PRINCIPLE, CheckKind.FOREST_MONOTONE, CheckKind.STAR_ADDITION
-    }
+    sampled = {CheckKind.FOREST_MONOTONE, CheckKind.STAR_ADDITION}
     for kind, runner in CHECKS.items():
         # the sampled checks share their param names, so --trials and
         # --seed each set the param of their own name
@@ -64,24 +66,20 @@ def test_run_check_rejects_unknown_params_and_empty_sets():
     with pytest.raises(BadSpec, match="trials"):
         run_check(CheckKind.FAMILY_VALUES, trials=1)
     with pytest.raises(BadSpec, match="no instances"):
-        run_check(CheckKind.CONTINUATION_PRINCIPLE, trials=0)
+        run_check(CheckKind.CONTINUATION_PRINCIPLE, n_min=5, n_max=4)
     with pytest.raises(BadSpec, match="does not accept jobs"):
         run_check("conjecture-sweep", jobs=1)
 
 
 @pytest.mark.parametrize("trials", [None, "3", 2.5, True])
-@pytest.mark.parametrize(
-    "kind", ["continuation-principle", "forest-monotone", "star-addition"]
-)
+@pytest.mark.parametrize("kind", ["forest-monotone", "star-addition"])
 def test_run_check_rejects_trials_that_are_not_a_count(kind, trials):
     with pytest.raises(BadSpec, match=rf"check {kind} needs trials >= 0, got {trials!r}"):
         run_check(kind, trials=trials)
 
 
 @pytest.mark.parametrize("seed", [None, "0", 2.5, True])
-@pytest.mark.parametrize(
-    "kind", ["continuation-principle", "forest-monotone", "star-addition"]
-)
+@pytest.mark.parametrize("kind", ["forest-monotone", "star-addition"])
 def test_run_check_rejects_a_seed_that_is_not_an_int(kind, seed):
     # a report must replay from its recorded seed, and --seed reads an int
     with pytest.raises(BadSpec, match=rf"check {kind} needs an integer seed, got {seed!r}"):
@@ -135,9 +133,47 @@ def test_forest_monotone_small_params():
 
 
 def test_continuation_small_params():
-    report = run_check(CheckKind.CONTINUATION_PRINCIPLE, trials=15, seed=2)
+    report = run_check(CheckKind.CONTINUATION_PRINCIPLE, n_max=4)
     assert report.ok
-    assert report.instances == 60  # 15 for each order 4..7
+    # one row per graph and family: 1 + 1 + 2 + 6 graphs under K1, K2, P3
+    assert report.instances == 10 * 3
+    # every mark set of an order-n graph, each with its n - |B| additions
+    orders = [1, 2, 3, 3] + [4] * 6
+    assert report.metadata == {
+        "mark_sets": 3 * sum(2**n for n in orders),
+        "steps": 3 * sum(n * 2 ** (n - 1) for n in orders),
+    }
+
+
+@pytest.mark.parametrize("start", ["D", "S"])
+def test_continuation_reports_a_longer_game_after_one_more_mark(monkeypatch, start):
+    # lengthen the live games of one start whose marks hold vertex 0, so
+    # adding vertex 0 to a mark set without it makes that start's game longer
+    real_solve = harness.solve
+
+    def lengthened(g, fam, mover, marks=0, **kwargs):
+        res = real_solve(g, fam, mover, marks, **kwargs)
+        if mover.value == start and marks & 1 and res.value:
+            return GameResult(res.value + 1, res.best_move, res.principal_line)
+        return res
+
+    monkeypatch.setattr(harness, "solve", lengthened)
+    report = run_check(CheckKind.CONTINUATION_PRINCIPLE, n_max=4)
+    assert not report.ok
+    first = report.violations[0]
+    assert (first["graph6"], first["family"], first["b_marks"], first["added"]) == (
+        "A_", "K1", [], 0
+    )
+    for v in report.violations:
+        assert v["added"] == 0 and 0 not in v["b_marks"]
+        assert v["expected"] == "a<=b both movers"
+        ad, bd, a_s, bs = v["observed"]
+        assert (ad > bd, a_s > bs) == (start == "D", start == "S")
+        # the finding replays with two solve calls
+        g, fam = parse_graph6(v["graph6"]), parse_forbidden(v["family"])
+        b, mover = mask_of(v["b_marks"]), Mover(start)
+        replayed = (lengthened(g, fam, mover, b | 1).value, lengthened(g, fam, mover, b).value)
+        assert replayed == ((ad, bd) if start == "D" else (a_s, bs))
 
 
 def test_star_addition_small_params():
@@ -149,10 +185,10 @@ def test_star_addition_small_params():
 
 
 def test_randomized_checks_are_deterministic_for_a_seed():
-    a = run_check(CheckKind.CONTINUATION_PRINCIPLE, trials=5, seed=7)
-    b = run_check(CheckKind.CONTINUATION_PRINCIPLE, trials=5, seed=7)
+    a = run_check(CheckKind.FOREST_MONOTONE, trials=5, seed=7)
+    b = run_check(CheckKind.FOREST_MONOTONE, trials=5, seed=7)
     assert a.rows == b.rows
-    c = run_check(CheckKind.CONTINUATION_PRINCIPLE, trials=5, seed=8)
+    c = run_check(CheckKind.FOREST_MONOTONE, trials=5, seed=8)
     assert a.rows != c.rows
 
 
@@ -192,6 +228,7 @@ def test_conjecture_sweep_budget():
 
 CATALOG_KINDS = (
     CheckKind.DIFF_AT_MOST_ONE,
+    CheckKind.CONTINUATION_PRINCIPLE,
     CheckKind.SANDWICH,
     CheckKind.FAMILY_MONOTONE,
     CheckKind.HALF_BOUND,
@@ -253,8 +290,8 @@ PINNED_DIGESTS = {
         "69e468cb8d57345d33cae9bd4050a78020f9ffd697aa0469e80a7b9640bee34d",
     ),
     "continuation-principle": (
-        "f3f5e3cbad1c2d359c699b88a14e46d5dcf2496be71bd31308005d7999dbeb97",
-        "dfc0a6e1f723b2002690ffcd7e5f91c932d2c24c59564a8f621da7b06d6f3f4e",
+        "61afd1aac5e92e11256a2535138e6d334a0fe64f7b8685f05c5599fe43a371d2",
+        "2491c5761ef7d43169d90c213b5a5b00f075348a034978f2091df14ffe7b0116",
     ),
     "sandwich": (
         "67af8faed112b1583872cebcac0c5aefef9dc4026984c419e647cf4e54d5181b",
