@@ -20,9 +20,9 @@ The catalog checks (diff-at-most-one, sandwich, half-bound and
 conjecture-sweep) build their rows from ``_solved_catalog``, which solves
 both starts of each catalog graph; each check walks it on its own, once per
 family, with its own columns and predicate. family-monotone solves only
-Dominator starts, and continuation-principle solves both starts from every
-mark set of a graph over one shared table, so each walks the catalog
-itself.
+Dominator starts, and continuation-principle reads both starts' values at
+every mark set of a graph from the oracle's retrograde table, so each
+walks the catalog itself.
 
 ``CHECKS`` maps each kind to its runner, and the runner's keyword defaults
 are the check's params. Every param is one of ``n_min`` and ``n_max`` (the
@@ -33,8 +33,8 @@ sets the param of its own name. Every other instance set (families,
 orders, star sizes) is fixed inside its runner.
 
 Reports are deterministic for a fixed seed; violations carry enough data
-(graph6, marks, seed) to replay any finding with one solve call per value
-they compare.
+(graph6, marks, seed) to replay any finding with one solve call (or, for
+continuation-principle, one table read) per value they compare.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .graph import (
     mask_of,
     parse_graph6,
 )
-from .oracle import isolation_number
+from .oracle import game_values, isolation_number
 from .rules import (
     ForbiddenFamily,
     close_marks,
@@ -335,11 +335,7 @@ def _check_continuation(n_min: int = 1, n_max: int = 6) -> tuple:
     mark_sets = steps = 0
     for fam in (single_vertex_family(), single_edge_family(), three_path_family()):
         for g in _connected_range(n_min, n_max):
-            shared = {"memo": {}, "closures": {}}
-            values = [
-                [solve(g, fam, mover, b, **shared).value for mover in Mover]
-                for b in range(1 << g.n)
-            ]
+            values = list(zip(*game_values(g, fam)))
             rows.append({**_head(g, fam.tag), "d_value": values[0][0], "s_value": values[0][1]})
             mark_sets += len(values)
             for b, (bd, bs) in enumerate(values):

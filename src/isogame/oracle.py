@@ -3,21 +3,22 @@
 Everything here trades speed for independence: isolation numbers come from
 subset enumeration, each set tested by the pattern matcher on all of
 G - N[S] (the definition, not the closure's per-component absorption),
-and game values from unmemoized tree recursion. The game oracle shares
-the rulebook (marking closure, move legality and marking updates) but
-nothing from the solver's search; like the solver, it closes a start's
-marks before playing from it.
+and game values from one retrograde table over every mark set. The game
+oracle shares the rulebook (marking closure, move legality and marking
+updates) but nothing from the solver's search; like the solver, it
+closes a start's marks before playing from it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
 from .errors import BudgetExceeded, TerminalState
-from .graph import Graph, as_mask, closed_neighborhood, mask_of
+from .graph import Graph, as_mask, closed_neighborhood, mask_of, require_inside
 from .rules import (
     ForbiddenFamily,
     MarkState,
@@ -29,7 +30,7 @@ from .rules import (
 from .solver import Mover
 
 MAX_SUBSET_ORDER = 24
-MAX_NAIVE_ORDER = 7
+MAX_NAIVE_ORDER = 16
 
 
 def is_isolating(g: Graph, fam: ForbiddenFamily, s: int | Iterable[int]) -> bool:
@@ -65,42 +66,45 @@ def isolation_number(g: Graph, fam: ForbiddenFamily) -> IsolationCertificate:
     raise AssertionError("the full vertex set always isolates")
 
 
+@lru_cache(maxsize=1)
+def game_values(g: Graph, fam: ForbiddenFamily) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Dominator- and Staller-to-move values of every mark set, indexed by
+    mask, by retrograde analysis. An open set copies its closure; a closed
+    set reads, for each move x, its own set plus N[x], whose entry holds
+    the closed child's value. Both are strict supersets, so larger masks:
+    one downward pass fills every entry from filled ones."""
+    if g.n > MAX_NAIVE_ORDER:
+        raise BudgetExceeded(f"game table capped at order {MAX_NAIVE_ORDER}, got {g.n}")
+    dom, stal = [0] * (g.full_mask + 1), [0] * (g.full_mask + 1)
+    for marked in range(g.full_mask - 1, -1, -1):
+        closed = close_marks(g, fam, marked)
+        if closed != marked:
+            dom[marked], stal[marked] = dom[closed], stal[closed]
+            continue
+        children = [marked | g.closed[x] for x in range(g.n) if g.closed[x] & ~marked]
+        dom[marked] = 1 + min(stal[c] for c in children)
+        stal[marked] = 1 + max(dom[c] for c in children)
+    return tuple(dom), tuple(stal)
+
+
 def naive_game_value(
     g: Graph, fam: ForbiddenFamily, start: MarkState, mover: Mover
 ) -> int:
-    """Game value by tree recursion from the closed start; order capped at 7."""
-    if g.n > MAX_NAIVE_ORDER:
-        raise BudgetExceeded(
-            f"naive recursion capped at order {MAX_NAIVE_ORDER}, got {g.n}"
-        )
-    full = g.full_mask
-
-    def recurse(marked: int, dom_to_move: bool) -> int:
-        if marked == full:
-            return 0
-        branch = min if dom_to_move else max
-        return 1 + branch(
-            recurse(updated_marks(g, fam, marked, x), not dom_to_move)
-            for x in range(g.n)
-            if g.closed[x] & ~marked
-        )
-
-    return recurse(close_marks(g, fam, start.marked), mover is Mover.DOMINATOR)
+    """Game value of the closed start, read from :func:`game_values`."""
+    require_inside(g, start.marked, "marks")
+    return game_values(g, fam)[mover is Mover.STALLER][start.marked]
 
 
 def naive_best_moves(
     g: Graph, fam: ForbiddenFamily, start: MarkState, mover: Mover
 ) -> int:
-    """Mask of optimal moves from the closed start per the naive recursion."""
+    """Mask of optimal moves from the closed start per :func:`game_values`."""
     marked = close_marks(g, fam, start.marked)
     if marked == g.full_mask:
         raise TerminalState("no moves from a fully marked graph")
     dom = mover is Mover.DOMINATOR
-    results = {}
-    for x in range(g.n):
-        if g.closed[x] & ~marked:
-            child = MarkState(g, updated_marks(g, fam, marked, x))
-            results[x] = naive_game_value(g, fam, child, mover.other)
+    after = game_values(g, fam)[dom]  # the other player's row: they move next
+    results = {x: after[marked | g.closed[x]] for x in range(g.n) if g.closed[x] & ~marked}
     target = min(results.values()) if dom else max(results.values())
     return mask_of(x for x, v in results.items() if v == target)
 

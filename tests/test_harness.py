@@ -10,7 +10,6 @@ from isogame import (
     BudgetExceeded,
     CheckKind,
     GameResult,
-    Mover,
     conjecture_sweep,
     cycle_graph,
     mask_of,
@@ -149,15 +148,15 @@ def test_continuation_small_params():
 def test_continuation_reports_a_longer_game_after_one_more_mark(monkeypatch, start):
     # lengthen the live games of one start whose marks hold vertex 0, so
     # adding vertex 0 to a mark set without it makes that start's game longer
-    real_solve = harness.solve
+    real_values = harness.game_values
+    row = "DS".index(start)
 
-    def lengthened(g, fam, mover, marks=0, **kwargs):
-        res = real_solve(g, fam, mover, marks, **kwargs)
-        if mover.value == start and marks & 1 and res.value:
-            return GameResult(res.value + 1, res.best_move, res.principal_line)
-        return res
+    def lengthened(g, fam):
+        table = list(real_values(g, fam))
+        table[row] = tuple(v + 1 if m & 1 and v else v for m, v in enumerate(table[row]))
+        return tuple(table)
 
-    monkeypatch.setattr(harness, "solve", lengthened)
+    monkeypatch.setattr(harness, "game_values", lengthened)
     report = run_check(CheckKind.CONTINUATION_PRINCIPLE, n_max=4)
     assert not report.ok
     first = report.violations[0]
@@ -169,10 +168,10 @@ def test_continuation_reports_a_longer_game_after_one_more_mark(monkeypatch, sta
         assert v["expected"] == "a<=b both movers"
         ad, bd, a_s, bs = v["observed"]
         assert (ad > bd, a_s > bs) == (start == "D", start == "S")
-        # the finding replays with two solve calls
+        # the finding replays with two table reads
         g, fam = parse_graph6(v["graph6"]), parse_forbidden(v["family"])
-        b, mover = mask_of(v["b_marks"]), Mover(start)
-        replayed = (lengthened(g, fam, mover, b | 1).value, lengthened(g, fam, mover, b).value)
+        b, values = mask_of(v["b_marks"]), lengthened(g, fam)[row]
+        replayed = (values[b | 1], values[b])
         assert replayed == ((ad, bd) if start == "D" else (a_s, bs))
 
 
@@ -245,6 +244,7 @@ def test_catalog_order_range_fails_before_any_solve(monkeypatch, kind):
 
     monkeypatch.setattr(harness, "solve_both", no_solve)
     monkeypatch.setattr(harness, "solve", no_solve)
+    monkeypatch.setattr(harness, "game_values", no_solve)
     with pytest.raises(BudgetExceeded, match="capped.*n_max"):
         run_check(kind, n_max=9)
     if "n_min" in check_defaults(kind):

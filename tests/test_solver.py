@@ -44,6 +44,7 @@ from isogame import (
     solve_both,
     three_path_family,
 )
+from isogame.oracle import game_values
 from strategies import graphs_with_masks
 
 K1 = single_vertex_family()
@@ -109,24 +110,45 @@ def test_optimal_moves_match_naive_oracle():
 
 def test_dominated_moves_skip_matches_naive_oracle():
     # the search skips a move when a neighbour's move is as good for the
-    # mover (Continuation Principle over monotone closure); values and
-    # optimal moves must still equal the naive recursion, which tries
-    # every move, from the closed empty start and each closed one-vertex
-    # start, under each mode of closure
+    # mover (Continuation Principle over monotone closure); its values must
+    # still equal the retrograde table, which tries every move, at every
+    # mark set, and its optimal moves the table's from the closed empty
+    # start and each closed one-vertex start, under each mode of closure
     fams = (K1, K2, P3, parse_forbidden("complete:3;path:4"))
     for n in range(1, 7):
         for g in enumerate_connected(n):
             for fam in fams:
+                table = game_values(g, fam)
+                shared = {"memo": {}, "closures": {}}
+                for marks in range(1 << n):
+                    for row, mover in enumerate(Mover):
+                        where = (encode_graph6(g), fam.tag, marks, mover)
+                        got = solve(g, fam, mover, marks, **shared).value
+                        assert got == table[row][marks], where
                 for start in [0] + [1 << v for v in range(n)]:
                     state = initial_closure(g, fam, start)
+                    if state.is_terminal:
+                        continue
                     for mover in Mover:
-                        where = (encode_graph6(g), fam.tag, start, mover)
-                        want = naive_game_value(g, fam, state, mover)
-                        assert solve(g, fam, mover, state.marked).value == want, where
-                        if not state.is_terminal:
-                            assert optimal_moves(g, fam, state, mover) == naive_best_moves(
-                                g, fam, state, mover
-                            ), where
+                        assert optimal_moves(g, fam, state, mover) == naive_best_moves(
+                            g, fam, state, mover
+                        ), (encode_graph6(g), fam.tag, start, mover)
+
+
+@pytest.mark.parametrize(
+    "spec, marks",
+    # [3] is the drawing's v4, where gh copies are joined
+    [("hgraph", []), ("hgraph", [3]), ("gh:1", []), ("gstar:complete:2", []),
+     ("cycle:14", []), ("path:16", [])],
+    ids=["hgraph", "hgraph-v4", "gh:1", "gstar:complete:2", "cycle:14", "path:16"],
+)
+def test_solver_matches_the_table_past_the_old_recursion_cap(spec, marks):
+    # orders 12-16, out of reach of the unmemoised recursion at order <= 7
+    g = make_family(spec)
+    for fam in (K2, P3):
+        d, s = solve_both(g, fam, marks)
+        table = game_values(g, fam)
+        assert (d.value, s.value) == (table[0][mask_of(marks)], table[1][mask_of(marks)])
 
 
 def test_staller_skips_only_for_a_playable_neighbour():
