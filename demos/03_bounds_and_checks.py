@@ -1,7 +1,8 @@
 """Running the built-in property checks.
 
-Every check sweeps a property over an exhaustive or seeded instance set
-and reports violations with replay data. A clean report means the property
+Every check sweeps a property over an exhaustive instance set (the
+mark-set checks read every mark set of every graph they visit) and
+reports violations with replay data. A clean report means the property
 held on every instance visited.
 """
 
@@ -9,7 +10,8 @@ from isogame import CheckKind, run_check
 
 print("== Difference between the two start players is at most one ==")
 report = run_check(CheckKind.DIFF_AT_MOST_ONE, n_max=6)
-print(f"  {report.instances} instances, {len(report.violations)} violations")
+print(f"  {report.instances} graph-family pairs, {report.metadata['mark_sets']} mark sets, "
+      f"{len(report.violations)} violations")
 print(f"  states attaining difference 1 (first few):")
 for row in report.extremal[:3]:
     print(f"    {row['graph6']:8s} family {row['family']}: "
@@ -30,10 +32,12 @@ print(f"  {report.instances} graph-family pairs, {report.metadata['mark_sets']} 
 
 print()
 print("== On forests the D-game never outlasts the S-game ==")
-report = run_check(CheckKind.FOREST_MONOTONE, trials=25, seed=0)
-print(f"  {report.instances} instances, {len(report.violations)} violations")
+report = run_check(CheckKind.FOREST_MONOTONE, n_max=8)
+print(f"  {report.instances} forests, {report.metadata['mark_sets']} mark sets, "
+      f"{len(report.violations)} violations")
 
 print()
 print("== Adding a disjoint star strictly lengthens forest games ==")
-report = run_check(CheckKind.STAR_ADDITION, trials=10, seed=0)
-print(f"  {report.instances} instances, {len(report.violations)} violations")
+report = run_check(CheckKind.STAR_ADDITION, n_max=6)
+print(f"  {report.instances} forest-star pairs, {report.metadata['mark_sets']} mark sets, "
+      f"{len(report.violations)} violations")

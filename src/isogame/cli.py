@@ -56,8 +56,6 @@ def _build_parser() -> _Parser:
                           choices=[k.value for k in CheckKind])
     p_verify.add_argument("--n-min", type=int, default=None)
     p_verify.add_argument("--n-max", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--trials", type=int, default=None)
     p_verify.add_argument("--format", dest="fmt",
                           choices=("plain", "json", "csv"), default="plain")
     p_verify.add_argument("--output", default=None)
@@ -160,9 +158,7 @@ def _emit_report(report: CheckReport, args: argparse.Namespace) -> int:
 
 def _run_verify(args: argparse.Namespace) -> int:
     # forward only the flags given, each as the param of its own name
-    given = {
-        "n_min": args.n_min, "n_max": args.n_max, "seed": args.seed, "trials": args.trials
-    }
+    given = {"n_min": args.n_min, "n_max": args.n_max}
     report = run_check(args.check, **{k: v for k, v in given.items() if v is not None})
     return _emit_report(report, args)
 

@@ -1,5 +1,5 @@
 """Machine checks for every bound, identity, and construction the solver is
-expected to reproduce, over exhaustive or seeded-random instance sets.
+expected to reproduce, each over an exhaustive instance set.
 
 Each check kind binds one property:
 
@@ -16,25 +16,24 @@ Each check kind binds one property:
 * ``family-values``          star-of-paths and linked-gadget reference values
 * ``conjecture-sweep``       D, S <= ceil(3n/7) findings report
 
-The catalog checks (diff-at-most-one, sandwich, half-bound and
-conjecture-sweep) build their rows from ``_solved_catalog``, which solves
-both starts of each catalog graph; each check walks it on its own, once per
-family, with its own columns and predicate. family-monotone solves only
-Dominator starts, and continuation-principle reads both starts' values at
-every mark set of a graph from the oracle's retrograde table, so each
-walks the catalog itself.
+The catalog checks sandwich, half-bound and conjecture-sweep build their
+rows from ``_solved_catalog``, which solves both starts of each catalog
+graph; each check walks it on its own, once per family, with its own
+columns and predicate. family-monotone solves only Dominator starts. The
+mark-set checks (diff-at-most-one, continuation-principle, forest-monotone
+and star-addition) read both starts' values at every mark set of a graph
+from the oracle's retrograde table instead, so each covers every closed
+state, not just the empty start.
 
 ``CHECKS`` maps each kind to its runner, and the runner's keyword defaults
-are the check's params. Every param is one of ``n_min`` and ``n_max`` (the
-order range of a catalog or path check) and ``seed`` and ``trials`` (the
-sampled checks, forest-monotone and star-addition, draw ``trials``
-instances for each of their orders from ``seed``), so each ``verify`` flag
-sets the param of its own name. Every other instance set (families,
-orders, star sizes) is fixed inside its runner.
+are the check's params. Every param is ``n_min`` or ``n_max``, the order
+range of a catalog, forest or path check, so each ``verify`` flag sets the
+param of its own name. Every other instance set (families, orders, star
+sizes) is fixed inside its runner.
 
-Reports are deterministic for a fixed seed; violations carry enough data
-(graph6, marks, seed) to replay any finding with one solve call (or, for
-continuation-principle, one table read) per value they compare.
+Reports are deterministic; violations carry enough data (graph6 and marks)
+to replay any finding with one solve call or one table read per value they
+compare.
 """
 
 from __future__ import annotations
@@ -42,9 +41,9 @@ from __future__ import annotations
 import enum
 import inspect
 import json
-import random
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
 from typing import Callable, Iterable, Iterator
 
@@ -60,19 +59,10 @@ from .families import (
     path_graph,
     star_graph,
 )
-from .graph import (
-    Graph,
-    build_graph,
-    disjoint_union,
-    encode_graph6,
-    mask_list,
-    mask_of,
-    parse_graph6,
-)
-from .oracle import game_values, isolation_number
+from .graph import Graph, disjoint_union, encode_graph6, mask_list, parse_graph6
+from .oracle import MAX_NAIVE_ORDER, game_values, isolation_number
 from .rules import (
     ForbiddenFamily,
-    close_marks,
     single_edge_family,
     single_vertex_family,
     three_path_family,
@@ -139,6 +129,37 @@ def _connected_range(n_min: int, n_max: int) -> Iterator[Graph]:
     return chain.from_iterable(map(enumerate_connected, range(n_min, n_max + 1)))
 
 
+def _tree_multisets(n: int, least: tuple[int, int] = (1, 0)) -> Iterator[tuple[Graph, ...]]:
+    """Every multiset of tree classes of total order n, as its parts sorted
+    by (order, class index), the first part no smaller than least."""
+    if n == 0:
+        yield ()
+    for k in range(least[0], n + 1):
+        trees = tree_classes(k)
+        for i in range(least[1] if k == least[0] else 0, len(trees)):
+            for rest in _tree_multisets(n - k, (k, i)):
+                yield (trees[i], *rest)
+
+
+def _forest_range(n_min: int, n_max: int, cap: int = MAX_NAIVE_ORDER) -> Iterator[Graph]:
+    """One forest per isomorphism class of orders n_min..n_max (OEIS
+    A005195), each its trees joined by disjoint_union; the range is checked
+    at the call, against the game table's cap or a lower one."""
+    if n_min < 1:
+        raise BadSpec(f"n_min must be at least 1, got {n_min}")
+    if n_max > cap:
+        raise BudgetExceeded(f"forests capped at order {cap}, got n_max={n_max}")
+    orders = range(n_min, n_max + 1)
+    return (reduce(disjoint_union, parts) for n in orders for parts in _tree_multisets(n))
+
+
+def _mark_table(g: Graph, fam: ForbiddenFamily) -> list[tuple[int, int]]:
+    """Both starts' values at every mask of g, indexed by mask. An open
+    mask holds its closure's values, so a walk over every mask covers every
+    closed state without closing any mask itself."""
+    return list(zip(*game_values(g, fam)))
+
+
 def _solved_catalog(
     n_min: int, n_max: int, fam: ForbiddenFamily
 ) -> Iterator[tuple[Graph, int, int]]:
@@ -169,15 +190,21 @@ def ceil_three_sevenths(n: int) -> int:
 
 def _check_diff_at_most_one(n_min: int = 1, n_max: int = 6) -> tuple:
     rows, violations, extremal = [], [], []
-    for fam in (single_vertex_family(), single_edge_family()):
-        for g, d, s in _solved_catalog(n_min, n_max, fam):
+    mark_sets = 0
+    for fam in (single_vertex_family(), single_edge_family(), three_path_family()):
+        for g in _connected_range(n_min, n_max):
+            values = _mark_table(g, fam)
+            d, s = values[0]
             row = {**_head(g, fam.tag), "d_value": d, "s_value": s, "diff": d - s}
             rows.append(row)
-            if abs(d - s) > 1:
-                violations.append({**row, "observed": abs(d - s), "expected": "<=1"})
-            elif abs(d - s) == 1 and len(extremal) < 10:
+            if abs(d - s) == 1 and len(extremal) < 10:
                 extremal.append(row)
-    return rows, violations, extremal, {}
+            mark_sets += len(values)
+            for marks, (d, s) in enumerate(values):
+                if abs(d - s) > 1:
+                    violations.append({**_head(g, fam.tag), "marks": mask_list(marks),
+                                       "observed": (d, s), "expected": "|d-s|<=1"})
+    return rows, violations, extremal, {"mark_sets": mark_sets}
 
 
 def _check_sandwich(n_min: int = 1, n_max: int = 6) -> tuple:
@@ -279,53 +306,19 @@ def _check_spanning_gap() -> tuple:
     return rows, violations, extremal, {}
 
 
-def _random_forest(n: int, rng: random.Random) -> Graph:
-    edges = []
-    for v in range(1, n):
-        if rng.random() < 0.75:
-            edges.append((rng.randrange(v), v))
-    return build_graph(n, edges)
-
-
-def _random_closed_marks(g: Graph, fam: ForbiddenFamily, rng: random.Random) -> int:
-    picks = rng.sample(range(g.n), rng.randrange(g.n + 1))
-    return close_marks(g, fam, mask_of(picks))
-
-
-def _random_forest_states(
-    orders: range, trials: int, fam: ForbiddenFamily, rng: random.Random
-) -> Iterator[tuple[Graph, int]]:
-    """``trials`` random forests of each order with random closed marks."""
-    for n in orders:
-        for _ in range(trials):
-            g = _random_forest(n, rng)
-            yield g, _random_closed_marks(g, fam, rng)
-
-
-def _check_forest_monotone(trials: int = 100, seed: int = 0) -> tuple:
-    rows, violations, extremal = [], [], []
+def _check_forest_monotone(n_min: int = 1, n_max: int = 9) -> tuple:
+    rows, violations = [], []
     fam = single_edge_family()
-    rng = random.Random(seed)
-
-    def check_state(g: Graph, marks: int, source: str) -> None:
-        d, s = solve_both(g, fam, marks)
-        row = {
-            **_head(g, fam.tag),
-            "marks": mask_list(marks),
-            "d_value": d.value,
-            "s_value": s.value,
-            "source": source,
-        }
-        rows.append(row)
-        if d.value > s.value:
-            violations.append({**row, "observed": (d.value, s.value), "expected": "d<=s"})
-
-    # empty marks make both values isomorphism invariants: one tree per class
-    for tree in chain.from_iterable(map(tree_classes, range(1, 10))):
-        check_state(tree, 0, "tree-class")
-    for g, marks in _random_forest_states(range(6, 10), trials, fam, rng):
-        check_state(g, marks, "random-forest")
-    return rows, violations, extremal, {"seed": seed}
+    mark_sets = 0
+    for g in _forest_range(n_min, n_max):
+        values = _mark_table(g, fam)
+        rows.append({**_head(g, fam.tag), "d_value": values[0][0], "s_value": values[0][1]})
+        mark_sets += len(values)
+        for marks, (d, s) in enumerate(values):
+            if d > s:
+                violations.append({**_head(g, fam.tag), "marks": mask_list(marks),
+                                   "observed": (d, s), "expected": "d<=s"})
+    return rows, violations, [], {"mark_sets": mark_sets}
 
 
 def _check_continuation(n_min: int = 1, n_max: int = 6) -> tuple:
@@ -335,7 +328,7 @@ def _check_continuation(n_min: int = 1, n_max: int = 6) -> tuple:
     mark_sets = steps = 0
     for fam in (single_vertex_family(), single_edge_family(), three_path_family()):
         for g in _connected_range(n_min, n_max):
-            values = list(zip(*game_values(g, fam)))
+            values = _mark_table(g, fam)
             rows.append({**_head(g, fam.tag), "d_value": values[0][0], "s_value": values[0][1]})
             mark_sets += len(values)
             for b, (bd, bs) in enumerate(values):
@@ -383,31 +376,31 @@ def _check_path_exact(n_min: int = 6, n_max: int = 23) -> tuple:
     return rows, violations, extremal, {"exact_orders": covered}
 
 
-def _check_star_addition(trials: int = 25, seed: int = 0) -> tuple:
-    rows, violations, extremal = [], [], []
+def _check_star_addition(n_min: int = 1, n_max: int = 7) -> tuple:
+    rows, violations = [], []
     fam = single_edge_family()
-    rng = random.Random(seed)
     stars = {r: star_graph(r) for r in (1, 2, 3)}
-
-    trees = ((t, 0) for t in tree_classes(6))
-    for g, marks in chain(trees, _random_forest_states(range(4, 9), trials, fam, rng)):
-        base_d, base_s = (res.value for res in solve_both(g, fam, marks))
+    mark_sets = 0
+    for g in _forest_range(n_min, n_max, MAX_NAIVE_ORDER - stars[3].n):
+        # read before the unions: game_values keeps only the last table
+        base = _mark_table(g, fam)
         for r, star in stars.items():
-            u = disjoint_union(g, star)
-            ud, us = (res.value for res in solve_both(u, fam, marks))
-            row = {
+            union = _mark_table(disjoint_union(g, star), fam)
+            rows.append({
                 **_head(g, fam.tag),
-                "marks": mask_list(marks),
                 "star_leaves": r,
-                "d_value": (base_d, ud),
-                "s_value": (base_s, us),
-            }
-            rows.append(row)
-            if not (ud > base_d and us > base_s):
-                violations.append(
-                    {**row, "observed": (ud, us), "expected": f"> ({base_d}, {base_s})"}
-                )
-    return rows, violations, extremal, {"seed": seed}
+                "d_value": (base[0][0], union[0][0]),
+                "s_value": (base[0][1], union[0][1]),
+            })
+            mark_sets += len(base)
+            # the star's vertices follow g's, so g's masks come first
+            for marks, ((bd, bs), (ud, us)) in enumerate(zip(base, union)):
+                if not (ud > bd and us > bs):
+                    violations.append({
+                        **_head(g, fam.tag), "star_leaves": r, "marks": mask_list(marks),
+                        "observed": (ud, us), "expected": f"> ({bd}, {bs})",
+                    })
+    return rows, violations, [], {"mark_sets": mark_sets}
 
 
 def _check_family_values() -> tuple:
@@ -523,11 +516,10 @@ def run_check(kind: CheckKind | str, **params) -> CheckReport:
     """Run one registered check and wrap its findings in a CheckReport.
 
     ``params`` override the runner's keyword defaults, and the report
-    echoes the merged set. A param the check does not take, a ``trials``
-    that is not a non-negative int, or a param set that leaves no instance
-    to check, raises BadSpec. So does a ``seed`` that is not an int, since
-    ``--seed`` could not replay the report. Neither may be a bool, which
-    the report would record as ``true``.
+    echoes the merged set. A param the check does not take, a param that
+    is not an int (a bool included, which the report would record as
+    ``true``), or a param set that leaves no instance to check, raises
+    BadSpec; the first two before anything runs.
     """
     kind = CheckKind(kind)
     defaults = check_defaults(kind)
@@ -538,13 +530,10 @@ def run_check(kind: CheckKind | str, **params) -> CheckReport:
             f"check {kind.value} does not accept {', '.join(unknown)}; "
             f"it accepts {accepted}"
         )
+    for key, value in params.items():
+        if type(value) is not int:
+            raise BadSpec(f"check {kind.value} needs an integer {key}, got {value!r}")
     used = {**defaults, **params}
-    trials = used.get("trials", 0)
-    if type(trials) is not int or trials < 0:
-        raise BadSpec(f"check {kind.value} needs trials >= 0, got {trials!r}")
-    seed = used.get("seed", 0)
-    if type(seed) is not int:
-        raise BadSpec(f"check {kind.value} needs an integer seed, got {seed!r}")
     t0 = time.perf_counter()
     rows, violations, extremal, metadata = CHECKS[kind](**used)
     if not rows:

@@ -183,37 +183,14 @@ def test_verify_violation_exits_two(monkeypatch, capsys):
 
 def test_verify_reproducible_json_is_byte_stable(capsys):
     args = (
-        "verify", "--check", "forest-monotone", "--trials", "10",
-        "--seed", "4", "--format", "json", "--reproducible",
+        "verify", "--check", "forest-monotone", "--n-max", "7",
+        "--format", "json", "--reproducible",
     )
     code_a, out_a, _ = run_cli(capsys, *args)
     code_b, out_b, _ = run_cli(capsys, *args)
     assert code_a == code_b == 0
     assert out_a == out_b
     assert "wall_time_s" not in out_a
-
-
-@pytest.mark.parametrize("check", ["forest-monotone", "star-addition"])
-def test_verify_trials_sets_the_trials_param(capsys, check):
-    code, out, _ = run_cli(
-        capsys, "verify", "--check", check, "--trials", "3",
-        "--format", "json", "--reproducible",
-    )
-    assert code == 0
-    assert json.loads(out)["params"]["trials"] == 3
-
-
-@pytest.mark.parametrize("check", ["forest-monotone", "star-addition"])
-def test_verify_negative_trials_exits_one(monkeypatch, capsys, check):
-    # a negative count draws nothing, so the check would pass on its fixed
-    # instances alone; it must fail before any solve instead
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before trials was checked")
-
-    monkeypatch.setattr(harness, "solve_both", no_solve)
-    code, out, err = run_cli(capsys, "verify", "--check", check, "--trials", "-1")
-    assert code == 1 and out == ""
-    assert f"check {check} needs trials >= 0, got -1" in err
 
 
 def test_sweep_small(capsys):
@@ -295,11 +272,11 @@ def test_output_file_and_memo_cap_flag(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag, argv",
     [
+        # a flag that is gone: no check samples
+        *[(flag, ["verify", "--check", kind.value, flag, "1"])
+          for kind in CheckKind for flag in ("--seed", "--trials")],
         # a flag the chosen check does not take
-        ("--trials", ["verify", "--check", "sandwich", "--trials", "5"]),
-        ("--trials", ["verify", "--check", "continuation-principle", "--trials", "5"]),
-        ("--seed", ["verify", "--check", "continuation-principle", "--seed", "1"]),
-        ("--n-min", ["verify", "--check", "forest-monotone", "--n-min", "3"]),
+        ("--n-min", ["verify", "--check", "spanning-gap", "--n-min", "3"]),
         ("--n-max", ["verify", "--check", "family-values", "--n-max", "3"]),
         ("--jobs", ["verify", "--check", "family-values", "--n-max", "3", "--jobs", "4"]),
         ("--n-max", ["verify", "--check", "spanning-gap", "--n-max", "9"]),
@@ -310,6 +287,11 @@ def test_output_file_and_memo_cap_flag(tmp_path, capsys):
         ("--n-max", ["verify", "--check", "half-bound", "--n-max", "9"]),
         ("--n-max", ["verify", "--check", "continuation-principle", "--n-max", "9"]),
         ("--n-min", ["verify", "--check", "sandwich", "--n-min", "0"]),
+        # an order range outside the game table, or below order 1
+        ("--n-max", ["verify", "--check", "forest-monotone", "--n-max", "17"]),
+        ("--n-max", ["verify", "--check", "star-addition", "--n-max", "13"]),
+        ("--n-min", ["verify", "--check", "forest-monotone", "--n-min", "0"]),
+        ("--n-min", ["verify", "--check", "star-addition", "--n-min", "0"]),
         # a flag that is gone (verify) or takes only 1 (sweep)
         ("--jobs", ["sweep", "--n-max", "3", "--jobs", "-1"]),
         ("--jobs", ["verify", "--check", "conjecture-sweep", "--n-max", "3", "--jobs", "-1"]),
@@ -326,11 +308,13 @@ def test_output_file_and_memo_cap_flag(tmp_path, capsys):
         ("--memo-cap", ["solve", "--family", "path:5", "--memo-cap", "0"]),
     ],
     ids=[
-        "sandwich-trials", "continuation-principle-trials",
-        "continuation-principle-seed", "forest-monotone-n-min", "family-values-n-max",
+        *[f"{kind.value}-{flag}" for kind in CheckKind for flag in ("seed", "trials")],
+        "spanning-gap-n-min", "family-values-n-max",
         "family-values-jobs", "spanning-gap-n-max", "sweep-empty",
         "half-bound-empty", "half-bound-n-max-capped",
         "continuation-principle-n-max-capped", "sandwich-n-min-zero",
+        "forest-monotone-n-max-capped", "star-addition-n-max-capped",
+        "forest-monotone-n-min", "star-addition-n-min-zero",
         "sweep-jobs", "conjecture-sweep-jobs",
         "solve-empty-graph6-file", "solve-alltrees-0", "solve-alltrees-negative",
         "solve-family-extra-field", "family-spec-extra-field",
@@ -338,7 +322,13 @@ def test_output_file_and_memo_cap_flag(tmp_path, capsys):
         "solve-memo-cap-zero",
     ],
 )
-def test_unusable_flags_fail_loudly(tmp_path, capsys, flag, argv):
+def test_unusable_flags_fail_loudly(monkeypatch, tmp_path, capsys, flag, argv):
+    # each fails before any check solves a game or builds a table
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the flags were checked")
+
+    for name in ("game_values", "solve_both", "solve"):
+        monkeypatch.setattr(harness, name, no_solve)
     empty = tmp_path / "empty.g6"
     empty.write_text("")
     argv = [str(empty) if a == "EMPTY" else a for a in argv]
@@ -393,9 +383,9 @@ def test_readme_flag_table_matches_the_registry():
     assert set(table) == {kind.value for kind in CheckKind}
     for kind in CheckKind:
         row = table[kind.value]
-        assert set(row) == {"`--n-min`", "`--n-max`", "`--seed`", "`--trials`"}
+        assert set(row) == {"`--n-min`", "`--n-max`"}
         defaults = check_defaults(kind)
-        for flag in ("n_min", "n_max", "seed", "trials"):
+        for flag in ("n_min", "n_max"):
             cell = row[f"`--{flag.replace('_', '-')}`"]
             assert cell == ("yes" if flag in defaults else ""), (kind.value, flag)
 
@@ -403,7 +393,7 @@ def test_readme_flag_table_matches_the_registry():
 def test_every_check_param_is_a_verify_flag(capsys):
     # each param is set by the verify flag of its own name, so every report
     # at its defaults replays from the command line with no other flag
-    flags = {"n_min", "n_max", "seed", "trials"}
+    flags = {"n_min", "n_max"}
     for kind in CheckKind:
         assert set(check_defaults(kind)) <= flags, kind.value
         code, out, _ = run_cli(

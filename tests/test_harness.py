@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+from collections import Counter
 
 import pytest
 
@@ -10,13 +11,17 @@ from isogame import (
     BudgetExceeded,
     CheckKind,
     GameResult,
+    canonical_form,
+    components,
     conjecture_sweep,
     cycle_graph,
+    disjoint_union,
     mask_of,
     parse_forbidden,
     parse_graph6,
     path_graph,
     run_check,
+    star_graph,
 )
 from isogame.cli import _rows_to_csv
 from isogame.harness import CHECKS, ceil_three_sevenths, check_defaults, find_witness
@@ -29,10 +34,10 @@ SMALL_PARAMS = {
     CheckKind.FAMILY_MONOTONE: {"n_max": 3},
     CheckKind.HALF_BOUND: {"n_min": 2, "n_max": 3},
     CheckKind.SPANNING_GAP: {},
-    CheckKind.FOREST_MONOTONE: {"trials": 2},
+    CheckKind.FOREST_MONOTONE: {"n_max": 5},
     CheckKind.PATH_BOUNDS: {"n_max": 8},
     CheckKind.PATH_EXACT: {"n_min": 7, "n_max": 8},
-    CheckKind.STAR_ADDITION: {"trials": 2},
+    CheckKind.STAR_ADDITION: {"n_max": 4},
     CheckKind.FAMILY_VALUES: {},
     CheckKind.CONJECTURE_SWEEP: {"n_max": 4},
 }
@@ -40,13 +45,10 @@ SMALL_PARAMS = {
 
 def test_every_check_kind_is_registered():
     assert set(CHECKS) == set(CheckKind) == set(SMALL_PARAMS)
-    sampled = {CheckKind.FOREST_MONOTONE, CheckKind.STAR_ADDITION}
     for kind, runner in CHECKS.items():
-        # the sampled checks share their param names, so --trials and
-        # --seed each set the param of their own name
-        defaults = check_defaults(kind)
-        assert ("trials" in defaults) == (kind in sampled), kind.value
-        assert ({"trials", "seed"} <= set(defaults)) == (kind in sampled)
+        # no check samples: every param is an order bound, set by the
+        # verify flag of its own name
+        assert set(check_defaults(kind)) <= {"n_min", "n_max"}, kind.value
         # every param the runner takes has a default, so run_check can
         # call it with no params at all
         params = inspect.signature(runner).parameters.values()
@@ -70,26 +72,48 @@ def test_run_check_rejects_unknown_params_and_empty_sets():
         run_check("conjecture-sweep", jobs=1)
 
 
-@pytest.mark.parametrize("trials", [None, "3", 2.5, True])
-@pytest.mark.parametrize("kind", ["forest-monotone", "star-addition"])
-def test_run_check_rejects_trials_that_are_not_a_count(kind, trials):
-    with pytest.raises(BadSpec, match=rf"check {kind} needs trials >= 0, got {trials!r}"):
-        run_check(kind, trials=trials)
+@pytest.mark.parametrize("value", [None, "3", 2.5, True, 7.0])
+@pytest.mark.parametrize("kind", ["forest-monotone", "star-addition", "half-bound"])
+def test_run_check_rejects_a_param_that_is_not_an_int(monkeypatch, kind, value):
+    # a report must replay from the flags it records, and each flag reads
+    # an int; True would run order 1 and be recorded as true
+    def no_table(*args, **kwargs):
+        raise AssertionError("ran before the param type was checked")
 
-
-@pytest.mark.parametrize("seed", [None, "0", 2.5, True])
-@pytest.mark.parametrize("kind", ["forest-monotone", "star-addition"])
-def test_run_check_rejects_a_seed_that_is_not_an_int(kind, seed):
-    # a report must replay from its recorded seed, and --seed reads an int
-    with pytest.raises(BadSpec, match=rf"check {kind} needs an integer seed, got {seed!r}"):
-        run_check(kind, seed=seed)
+    for name in ("game_values", "solve_both", "solve"):
+        monkeypatch.setattr(harness, name, no_table)
+    with pytest.raises(BadSpec, match=rf"check {kind} needs an integer n_max, got {value!r}"):
+        run_check(kind, n_max=value)
 
 
 def test_diff_at_most_one_small():
     report = run_check(CheckKind.DIFF_AT_MOST_ONE, n_max=4)
     assert report.ok
-    assert report.instances == (1 + 1 + 2 + 6) * 2  # two families
-    assert {row["family"] for row in report.rows} == {"K1", "K2"}
+    assert report.instances == (1 + 1 + 2 + 6) * 3  # three families
+    assert {row["family"] for row in report.rows} == {"K1", "K2", "P3"}
+    # every mark set of every graph, under each family
+    assert report.metadata == {"mark_sets": 3 * (2 + 4 + 2 * 8 + 6 * 16)}
+
+
+def test_diff_at_most_one_reports_a_widened_gap(monkeypatch):
+    # a table whose Staller value outruns the Dominator value by two at
+    # every mark set where it led by one
+    real_values = harness.game_values
+
+    def widened(g, fam):
+        dom, stal = real_values(g, fam)
+        return dom, tuple(s + (s - d == 1) for d, s in zip(dom, stal))
+
+    monkeypatch.setattr(harness, "game_values", widened)
+    report = run_check(CheckKind.DIFF_AT_MOST_ONE, n_max=4)
+    assert not report.ok
+    assert any(v["marks"] for v in report.violations), "marked states are walked"
+    for v in report.violations:
+        assert v["expected"] == "|d-s|<=1"
+        # the finding replays with two table reads
+        dom, stal = widened(parse_graph6(v["graph6"]), parse_forbidden(v["family"]))
+        m = mask_of(v["marks"])
+        assert v["observed"] == (dom[m], stal[m]) and stal[m] - dom[m] == 2
 
 
 def test_sandwich_small():
@@ -124,11 +148,62 @@ def test_family_values_check():
     assert report.metadata["gh_base"] == "path"
 
 
+def test_forest_range_yields_one_forest_per_class():
+    forests = list(harness._forest_range(1, 8))
+    # OEIS A005195: forests with n unlabelled vertices
+    assert Counter(g.n for g in forests) == {1: 1, 2: 2, 3: 3, 4: 6, 5: 10, 6: 20, 7: 37, 8: 76}
+    assert len({canonical_form(g) for g in forests}) == len(forests)
+    for g in forests:
+        edges = sum(map(int.bit_count, g.adj)) // 2
+        assert edges == g.n - len(components(g, g.full_mask)), "acyclic"
+
+
+@pytest.mark.parametrize(
+    "kind, cap", [(CheckKind.FOREST_MONOTONE, 16), (CheckKind.STAR_ADDITION, 12)],
+    ids=lambda k: getattr(k, "value", k),
+)
+def test_forest_order_range_fails_before_any_table(monkeypatch, kind, cap):
+    # the game table stops at order 16, and star-addition also reads the
+    # table of each forest joined with a 4-vertex star
+    def no_table(*args, **kwargs):
+        raise AssertionError("built a table before the order range was checked")
+
+    monkeypatch.setattr(harness, "game_values", no_table)
+    with pytest.raises(BudgetExceeded, match=rf"capped at order {cap}, got n_max={cap + 1}"):
+        run_check(kind, n_max=cap + 1)
+    with pytest.raises(BadSpec, match="n_min must be at least 1, got 0"):
+        run_check(kind, n_min=0)
+
+
 def test_forest_monotone_small_params():
-    report = run_check(CheckKind.FOREST_MONOTONE, trials=10, seed=1)
+    report = run_check(CheckKind.FOREST_MONOTONE, n_min=4, n_max=6)
     assert report.ok
-    # tree classes of order 1..9 and 10 random forests of each order 6..9
-    assert report.instances == (1 + 1 + 1 + 2 + 3 + 6) + (11 + 23 + 47) + 40
+    # one row per forest of order 4..6, each with every mark set
+    assert report.instances == 6 + 10 + 20
+    assert report.metadata == {"mark_sets": 6 * 16 + 10 * 32 + 20 * 64}
+    assert {row["n"] for row in report.rows} == {4, 5, 6}
+
+
+def test_forest_monotone_reports_a_longer_dominator_game(monkeypatch):
+    # lengthen the live Dominator games whose marks hold vertex 0
+    real_values = harness.game_values
+
+    def lengthened(g, fam):
+        dom, stal = real_values(g, fam)
+        return tuple(d + 1 if m & 1 and d else d for m, d in enumerate(dom)), stal
+
+    monkeypatch.setattr(harness, "game_values", lengthened)
+    report = run_check(CheckKind.FOREST_MONOTONE, n_max=4)
+    assert not report.ok
+    first = report.violations[0]
+    # K1 + K2 with the isolated vertex marked: D and S both 1 on the edge
+    assert (first["graph6"], first["marks"], first["observed"]) == ("BG", [0], (2, 1))
+    for v in report.violations:
+        assert 0 in v["marks"] and v["expected"] == "d<=s"
+        # the finding replays with two table reads
+        dom, stal = lengthened(parse_graph6(v["graph6"]), parse_forbidden(v["family"]))
+        m = mask_of(v["marks"])
+        assert v["observed"] == (dom[m], stal[m]) and dom[m] > stal[m]
 
 
 def test_continuation_small_params():
@@ -176,19 +251,37 @@ def test_continuation_reports_a_longer_game_after_one_more_mark(monkeypatch, sta
 
 
 def test_star_addition_small_params():
-    report = run_check(CheckKind.STAR_ADDITION, trials=8, seed=3)
+    report = run_check(CheckKind.STAR_ADDITION, n_max=4)
     assert report.ok
+    # each forest of order 1..4 with each of three stars
+    assert report.instances == 3 * (1 + 2 + 3 + 6)
+    assert report.metadata == {"mark_sets": 3 * (2 + 2 * 4 + 3 * 8 + 6 * 16)}
     for row in report.rows:
         base_d, union_d = row["d_value"]
-        assert union_d > base_d
+        base_s, union_s = row["s_value"]
+        assert union_d > base_d and union_s > base_s
 
 
-def test_randomized_checks_are_deterministic_for_a_seed():
-    a = run_check(CheckKind.FOREST_MONOTONE, trials=5, seed=7)
-    b = run_check(CheckKind.FOREST_MONOTONE, trials=5, seed=7)
-    assert a.rows == b.rows
-    c = run_check(CheckKind.FOREST_MONOTONE, trials=5, seed=8)
-    assert a.rows != c.rows
+def test_star_addition_reports_a_union_that_does_not_grow(monkeypatch):
+    # a table that stops growing at 2 leaves a union's value unchanged
+    real_values = harness.game_values
+
+    def capped(g, fam):
+        return tuple(tuple(min(v, 2) for v in row) for row in real_values(g, fam))
+
+    monkeypatch.setattr(harness, "game_values", capped)
+    report = run_check(CheckKind.STAR_ADDITION, n_max=4)
+    assert not report.ok
+    assert any(v["marks"] for v in report.violations), "marked states are walked"
+    for v in report.violations:
+        # the finding replays with one table read of the forest and one of
+        # its union with the star
+        g, fam = parse_graph6(v["graph6"]), parse_forbidden(v["family"])
+        union = disjoint_union(g, star_graph(v["star_leaves"]))
+        m = mask_of(v["marks"])
+        (bd, bs), (ud, us) = ((t[0][m], t[1][m]) for t in (capped(g, fam), capped(union, fam)))
+        assert v["observed"] == (ud, us) and v["expected"] == f"> ({bd}, {bs})"
+        assert not (ud > bd and us > bs)
 
 
 def test_path_checks():
@@ -286,8 +379,8 @@ def test_report_summary_shapes():
 # and a new or changed param shows up here because params are in the JSON
 PINNED_DIGESTS = {
     "diff-at-most-one": (
-        "5ce672d6e3ddbff3fcca3b8863bda87c26e1c96904a5fdfc29f3f3e199a1d79c",
-        "69e468cb8d57345d33cae9bd4050a78020f9ffd697aa0469e80a7b9640bee34d",
+        "f24da02dd16b390f601080159454096d53e4dd559d2ee8b6b0864cb846eb6519",
+        "038efe50921695b3039270d3f48bdb44f084bc9302b2f40f8de06ba38894dd11",
     ),
     "continuation-principle": (
         "61afd1aac5e92e11256a2535138e6d334a0fe64f7b8685f05c5599fe43a371d2",
@@ -310,8 +403,8 @@ PINNED_DIGESTS = {
         "2d5b826ace33e6f6ac9a1af24a5aa8f288958dea478028e30f2e66876f5dba29",
     ),
     "forest-monotone": (
-        "1c8dbfb4ed1e40f53dfe05625a6daeedf6fdb23298f2f94d7f0cb6c8ab8f1ffb",
-        "f98cfb36b5c79602a10c8fb8c2717acdc77d151081bda61625fc0a45e42d0e3e",
+        "c5ab08b0e2274dec9776971e9e37c1cc62e7478d3be528f71574cd24ff129871",
+        "a541ae39eece912a30864cdcc59f6478e6b6992ae7d452a38d4610253f026e39",
     ),
     "path-bounds": (
         "76ca341e251aaa0c68ebc1c30aa6f30a9f793ad5680801a27d30db59328d1f86",
@@ -322,8 +415,8 @@ PINNED_DIGESTS = {
         "bb7da4127ceb95968a3bf95421c4beb65b97b6e3eb9769746960c0157eeef1ef",
     ),
     "star-addition": (
-        "080fed909671724f76bcda9a590e6c13e83dda53a134597e38a8ae87768c0a50",
-        "b1ef1b440d126a99555ebc863969c991b3d21ed8a5508a76cfd6ecbb54f1b3ab",
+        "b2b61eb51494b943c179bc0b2426e24e61d00fa3055057ab40592285a8cb3930",
+        "764856cb4a6676f5695284d3bd2fe6bb6f8eccda68ef4f0bfdd59c64854c022d",
     ),
     "family-values": (
         "7d2b7fb7cf824c8986bcc8dd93ac3fd830e6ba1de44a9fcd5c91353a410079cf",
