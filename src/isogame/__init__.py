@@ -72,6 +72,7 @@ from .solver import (
     result_record,
     solve,
     solve_both,
+    solve_values,
 )
 from .oracle import (
     IsolationCertificate,

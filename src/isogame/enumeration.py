@@ -43,6 +43,13 @@ search tries one vertex per twin class, and a star or a complete graph is
 placed in a single order. Nothing else prunes by automorphisms, so a
 graph that refinement leaves in one large cell without twins (a long
 cycle, say) takes exponential time.
+
+``vertex_orbit_leaders`` finds vertex orbits for the solver's root by
+individualisation and re-refinement (McKay and Piperno, "Practical graph
+isomorphism, II", J. Symbolic Comput. 60, 2014). It needs no minimal key,
+so it re-refines after each individualisation and descends once per
+vertex, at most n**2 refinements on any graph; the canonical form does
+not use it.
 """
 
 from __future__ import annotations
@@ -74,16 +81,24 @@ TREE_COUNTS = {
 MAX_TREE_ORDER = max(TREE_COUNTS)
 
 
-def _refined_colors(n: int, adj: tuple[int, ...]) -> list[int]:
+def _refined_colors(
+    n: int, adj: tuple[int, ...], colors: list[int] | None = None
+) -> list[int]:
     """Iterated neighbor-degree refinement; colors are invariant ranks.
 
     A vertex's signature is one int, its color above a base-``2**width``
     count of its neighbors per color (color 0 in the top digit), negated.
     Every vertex of one color has one degree, so among them a smaller
     signature is exactly a smaller sorted tuple of neighbor colors.
+
+    The refinement starts from the degrees, or from ``colors`` (values in
+    ``range(n)``) when given; the result refines that start, and its ranks
+    keep the start's color order. A start cell may mix degrees, which only
+    the first round compares, by their neighbor counts per color.
     """
     nbrs = [mask_list(a) for a in adj]
-    colors = [a.bit_count() for a in adj]
+    if colors is None:
+        colors = [a.bit_count() for a in adj]
     width = n.bit_length()
     shift = width * n
     digit = [1 << width * (n - 1 - c) for c in range(n)]
@@ -250,6 +265,101 @@ def _orbit_leaders(k: int, adj: tuple[int, ...]) -> list[int]:
                     reached[y] = 1
                     stack.append(y)
     return leaders
+
+
+def _individualised(colors: list[int], v: int) -> list[int]:
+    """``colors`` (dense ranks) with ``v`` alone in its color and the rest
+    of its cell one rank above it. With two or more vertices in v's cell
+    the ranks stay dense and below n, as ``_refined_colors`` needs."""
+    c = colors[v]
+    return [x + (x > c or x == c and u != v) for u, x in enumerate(colors)]
+
+
+def _leaf(n: int, adj: tuple[int, ...], colors: list[int], v: int) -> list[int]:
+    """The vertices in color order of a discrete coloring below ``colors``:
+    individualise ``v`` and refine, then the least vertex of the first cell
+    with two or more vertices, until every cell is a single vertex."""
+    while True:
+        colors = _refined_colors(n, adj, _individualised(colors, v))
+        size = [0] * n
+        for c in colors:
+            size[c] += 1
+        target = next((c for c in range(n) if size[c] > 1), None)
+        if target is None:
+            order = [0] * n
+            for u, c in enumerate(colors):
+                order[c] = u
+            return order
+        v = colors.index(target)
+
+
+def _is_automorphism(adj: tuple[int, ...], perm: list[int]) -> bool:
+    """True when ``perm`` (``perm[v]`` the image of v) preserves every
+    adjacency."""
+    for u, row in enumerate(adj):
+        image = 0
+        while row:
+            low = row & -row
+            image |= 1 << perm[low.bit_length() - 1]
+            row ^= low
+        if image != adj[perm[u]]:
+            return False
+    return True
+
+
+def vertex_orbit_leaders(g: Graph, fixed: int = 0) -> tuple[int, ...]:
+    """The least vertex of each orbit, ascending, of a group of
+    automorphisms of g that map the vertex set ``fixed`` onto itself.
+
+    Refinement from the coloring that separates ``fixed`` gives cells that
+    each hold whole orbits. In a cell, each vertex not yet joined to a
+    smaller one is individualised, refined and carried down to one
+    discrete coloring (``_leaf``); the map between its leaf and the leaf
+    of an earlier vertex of the cell, color by color, joins the two
+    orbits, with every cycle of the map, once ``_is_automorphism`` accepts
+    it. Refinement and individualisation keep the color order, so color i
+    of either leaf lies in the same start cell, and the map fixes
+    ``fixed`` as a set. Only checked automorphisms join orbits, so the
+    orbits are those of a subgroup of the stabiliser of ``fixed``, never
+    coarser than the true ones; a descent that misses an automorphism only
+    leaves an orbit split. A cell's first vertex descends only once a
+    second one needs it, so a cell of one vertex never descends.
+    """
+    n, adj = g.n, g.adj
+    base = _refined_colors(n, adj, [fixed >> v & 1 for v in range(n)])
+    root = list(range(n))  # union-find forest; each root is its class's least
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    cells: dict[int, list[int]] = {}
+    for v in range(n):
+        cells.setdefault(base[v], []).append(v)
+    for cell in cells.values():
+        first, leaves = None, []
+        for v in cell:
+            if find(v) != v:
+                continue
+            if first is None:
+                first = v
+                continue
+            if not leaves:
+                leaves.append(_leaf(n, adj, base, first))
+            leaf = _leaf(n, adj, base, v)
+            for ref in leaves:
+                perm = [0] * n
+                for a, b in zip(ref, leaf):
+                    perm[a] = b
+                if _is_automorphism(adj, perm):
+                    for a, b in enumerate(perm):
+                        a, b = find(a), find(b)
+                        root[max(a, b)] = min(a, b)
+                    break
+            else:
+                leaves.append(leaf)
+    return tuple(v for v in range(n) if find(v) == v)
 
 
 def _deletion_test(parent: Graph) -> Callable[[int], bool]:

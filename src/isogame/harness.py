@@ -17,9 +17,9 @@ Each check kind binds one property:
 * ``conjecture-sweep``       D, S <= ceil(3n/7) findings report
 
 The catalog checks sandwich, half-bound and conjecture-sweep build their
-rows from ``_solved_catalog``, which solves both starts of each catalog
-graph; each check walks it on its own, once per family, with its own
-columns and predicate. family-monotone solves only Dominator starts. The
+rows from ``_solved_catalog``, which reads both starts' values of each
+catalog graph with ``solve_values`` (no principal line); each check walks
+it on its own, once per family, with its own columns and predicate. family-monotone solves only Dominator starts. The
 mark-set checks (diff-at-most-one, continuation-principle, forest-monotone
 and star-addition) read both starts' values at every mark set of a graph
 from the oracle's retrograde table instead, so each covers every closed
@@ -67,7 +67,7 @@ from .rules import (
     single_vertex_family,
     three_path_family,
 )
-from .solver import Mover, solve, solve_both
+from .solver import Mover, solve, solve_both, solve_values
 
 
 class CheckKind(str, enum.Enum):
@@ -166,8 +166,7 @@ def _solved_catalog(
     """Every connected graph of order n_min..n_max with its D- and S-start
     values under fam, in catalog order, each solved as it is yielded."""
     for g in _connected_range(n_min, n_max):
-        d, s = solve_both(g, fam)
-        yield g, d.value, s.value
+        yield g, *solve_values(g, fam)
 
 
 def _head(g: Graph, tag: str) -> dict:

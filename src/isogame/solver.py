@@ -29,6 +29,21 @@ over the whole graph and each child only around its move, through one
 ``rules.closer`` per search context, which is exact because its parent
 was closed. ``solve_both`` runs its two starts in one search context:
 they share the bounds table and the closure memo.
+
+Once a root test fails and the table holds more than
+``ROOT_ORBIT_STATES`` states per vertex, the root is tested over one move
+per orbit (``enumeration.vertex_orbit_leaders``, cached for the last
+root, so both starts of ``solve_both`` share one orbit search). An
+automorphism σ of G that maps the closed marks onto themselves maps the
+child of x onto the child of σ(x), since closure does not depend on
+labels, so the two children have one value, and the group the search
+finds is a subgroup of those, so its orbits are never coarser. The root
+keeps the dominance skip as well: a skip by dominance strictly lowers
+``(-|s_x|, x)`` for Dominator and ``(|s_x|, x)`` for Staller, a skip to
+the orbit's least vertex keeps ``|s_x|`` and lowers ``x``, so every chain
+of skips ends at a move that is tried and at least as good. The root's
+bounds go into the table as in any other test; ``at_most`` and
+``optimal_children`` are the same, so values and lines are unchanged.
 """
 
 from __future__ import annotations
@@ -38,6 +53,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, TypeVar
 
+from .enumeration import vertex_orbit_leaders
 from .errors import StateSpaceBudgetExceeded, TerminalState
 from .graph import Graph, as_mask, encode_graph6, mask_list, mask_of
 from .graph import require_inside
@@ -45,6 +61,10 @@ from .rules import ForbiddenFamily, MarkState, closer
 from .rules import close_marks  # noqa: F401  (perfbench wraps solver.close_marks)
 
 DEFAULT_MEMO_CAP = 1 << 24
+
+#: The root is tested over one move per orbit once the bounds table holds
+#: more than this many states per vertex after a failed root test.
+ROOT_ORBIT_STATES = 4
 
 T = TypeVar("T")
 #: ``optimal_children(marked, dom_to_move, value)`` of one search context
@@ -97,6 +117,13 @@ def _move_table(g: Graph) -> tuple[tuple, tuple]:
         stall_rows.append((hit, near, tuple(stall)))
         dom_rows.append((hit, near, tuple(dom)))
     return tuple(stall_rows), tuple(dom_rows)
+
+
+@lru_cache(maxsize=1)
+def _root_leaders(g: Graph, marked: int) -> tuple[int, ...]:
+    """One move per orbit of the automorphisms found that fix ``marked``;
+    the last root is kept, so both starts of ``solve_both`` search once."""
+    return vertex_orbit_leaders(g, marked)
 
 
 def _search(
@@ -173,10 +200,47 @@ def _search(
                 ):
                     yield x, closed
 
+    def orbit_root(marked: int, dom_to_move: bool, k: int) -> bool:
+        """``at_most`` at the root over the moves of ``_root_leaders`` only,
+        with the same dominance skip; it stores the root's bounds as
+        ``at_most`` does. A function of its own, so that ``at_most``, run
+        at every state, gains no branch."""
+        key = (marked, dom_to_move)
+        bounds = table.get(key)
+        lo, hi = default if bounds is None else bounds
+        if hi <= k:
+            return True
+        if lo > k:
+            return False
+        passed = not dom_to_move
+        unmarked = full & ~marked
+        rows = moves[dom_to_move]
+        for x in _root_leaders(g, marked):
+            hit, near, rivals = rows[x]
+            if not hit & unmarked:
+                continue
+            for inside, outside, legal in rivals:
+                if not inside & unmarked and outside & unmarked and legal & unmarked:
+                    break
+            else:
+                if at_most(
+                    close(marked | hit, near), not dom_to_move, k - 1
+                ) is dom_to_move:
+                    passed = dom_to_move
+                    break
+        if bounds is None and len(table) >= memo_cap:
+            raise StateSpaceBudgetExceeded(
+                f"transposition table exceeded {memo_cap} entries"
+            )
+        table[key] = (lo, k) if passed else (k + 1, hi)
+        return passed
+
     try:
-        value = 0
-        while not at_most(marked, dom_to_move, value):
+        value, test = 0, at_most
+        while not test(marked, dom_to_move, value):
             value += 1
+            if len(table) > ROOT_ORBIT_STATES * g.n:
+                test = orbit_root
         return read(marked, value, optimal_children)
     finally:
         del at_most
@@ -252,6 +316,29 @@ def solve_both(
     d = solve(g, fam, Mover.DOMINATOR, marks, **shared)
     s = solve(g, fam, Mover.STALLER, marks, **shared)
     return d, s
+
+
+def _value(marked: int, value: int, optimal_children: OptimalChildren) -> int:
+    return value
+
+
+def solve_values(
+    g: Graph,
+    fam: ForbiddenFamily,
+    initial_marks: int | Iterable[int] = 0,
+    *,
+    memo_cap: int = DEFAULT_MEMO_CAP,
+) -> tuple[int, int]:
+    """The Dominator-start and Staller-start values of ``solve_both``, read
+    through the same search with one bounds table and one closure memo,
+    but with no principal line."""
+    marks = as_mask(initial_marks)
+    table: dict[tuple[int, bool], tuple[int, int]] = {}
+    closures: dict[int, int] = {}
+    return (
+        _search(g, fam, marks, True, table, closures, memo_cap, _value),
+        _search(g, fam, marks, False, table, closures, memo_cap, _value),
+    )
 
 
 def result_record(

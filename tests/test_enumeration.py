@@ -265,6 +265,65 @@ def test_refined_colors_match_the_sorted_tuple_reference_to_order_eight():
             assert enumeration._refined_colors(h.n, h.adj) == _sorted_tuple_colors(h.n, h.adj)
 
 
+def test_refined_colors_from_a_starting_coloring_refine_it():
+    # the degrees as a start give the default result; any other start is
+    # refined in its own color order, so a cell never crosses a start cell
+    rng = Random(17)
+    for g in _small_connected_graphs():
+        n, adj = g.n, g.adj
+        assert enumeration._refined_colors(n, adj, [a.bit_count() for a in adj]) == (
+            enumeration._refined_colors(n, adj)
+        )
+        start = [rng.randrange(2) for _ in range(n)]
+        colors = enumeration._refined_colors(n, adj, start)
+        assert all(
+            start[u] <= start[v] for u in range(n) for v in range(n) if colors[u] <= colors[v]
+        )
+        assert enumeration._refined_colors(n, adj, colors) == colors
+
+
+def _stabiliser_orbits(n, group, fixed):
+    stab = [perm for perm in group if _image(fixed, perm) == fixed]
+    return {frozenset(perm[v] for perm in stab) for v in range(n)}
+
+
+def test_vertex_orbit_leaders_match_brute_force():
+    # the group of all k! permutations that are automorphisms, restricted
+    # to those that fix the set: no fixed vertex, or one
+    for g in _small_connected_graphs():
+        group = _automorphisms(g.n, g.adj)
+        for fixed in [0, *(1 << v for v in range(g.n))]:
+            orbits = _stabiliser_orbits(g.n, group, fixed)
+            want = tuple(sorted(min(orbit) for orbit in orbits))
+            assert enumeration.vertex_orbit_leaders(g, fixed) == want, (g.adj, fixed)
+
+
+def test_vertex_orbit_leaders_are_never_coarser_than_the_orbits():
+    # every true orbit of the set stabiliser holds a leader, so one move
+    # per leader reaches every orbit; the group is the closure of the
+    # canonical search's generators, which generate Aut(G) (tested above)
+    rng = Random(19)
+    graphs = [_relabeled(g, rng) for g in enumerate_connected(7)]
+    graphs += [_relabeled(make_family(spec), rng) for spec in ("gh:2", "hgraph", "gstar:complete:2")]
+    for g in graphs:
+        gens = []
+        enumeration._canonical_perm(g.n, g.adj, gens)
+        group = _generated_group(g.n, gens)
+        fixed_sets = [0, *(1 << v for v in range(min(g.n, 7)))]
+        fixed_sets += [rng.randrange(1 << g.n) for _ in range(3)]
+        for fixed in fixed_sets:
+            leaders = set(enumeration.vertex_orbit_leaders(g, fixed))
+            assert all(orbit & leaders for orbit in _stabiliser_orbits(g.n, group, fixed))
+
+
+@pytest.mark.parametrize("spec, count", [("cycle:24", 1), ("path:23", 12), ("gh:2", 6)])
+def test_vertex_orbit_leaders_on_relabelled_families(spec, count):
+    g = _relabeled(make_family(spec), Random(23))
+    leaders = enumeration.vertex_orbit_leaders(g)
+    assert len(leaders) == count
+    assert list(leaders) == sorted(leaders)
+
+
 def test_catalog_members_are_connected_and_distinct():
     seen = set()
     for g in enumerate_connected(6):

@@ -42,8 +42,10 @@ from isogame import (
     single_vertex_family,
     solve,
     solve_both,
+    solve_values,
     three_path_family,
 )
+from isogame import solver
 from isogame.oracle import game_values
 from strategies import graphs_with_masks
 
@@ -307,8 +309,8 @@ def test_solve_both_shares_one_table():
 @pytest.mark.parametrize(
     "spec, fam, stored",
     [
-        ("path:13", K2, 144),
-        ("cycle:12", K2, 133),
+        ("path:13", K2, 110),
+        ("cycle:12", K2, 98),
         ("hgraph", K2, 54),
         ("gh:1", K2, 54),
         ("cycle:10", P3, 26),
@@ -317,7 +319,8 @@ def test_solve_both_shares_one_table():
 )
 def test_table_size_is_pinned(spec, fam, stored):
     # both starts fill one bounds table with exactly these states; a test
-    # stops at the first decisive child and skips dominated moves, so
+    # stops at the first decisive child and skips dominated moves, and
+    # once the table is large the root tries one move per orbit, so
     # children it never reached stay out of the table. Re-solving asks
     # only tests the table already answers, so it stores nothing more
     g = make_family(spec)
@@ -405,7 +408,7 @@ def test_memo_cap_bounds_the_closure_memo():
         assert solve_both(small, K3_P4, memo_cap=held) == solve_both(small, K3_P4)
     # K1, K2 and P3 close by bit steps, so their solves leave the closure
     # memo empty
-    for fam, stored in ((K1, 220), (K2, 133), (P3, 73)):
+    for fam, stored in ((K1, 125), (K2, 98), (P3, 73)):
         memo, closures = {}, {}
         for mover in (Mover.DOMINATOR, Mover.STALLER):
             solve(g, fam, mover, memo=memo, closures=closures)
@@ -542,9 +545,9 @@ def test_quiet_memo_searches_each_component_once_per_solve(monkeypatch):
     monkeypatch.setattr(rules, "is_forbidden_component", counting_is_quiet)
     monkeypatch.setattr(solver, "solve", one_solve)
     cases = [
-        ("cycle:20", [], (5, 5), 239),
+        ("cycle:20", [], (5, 5), 197),
         ("cycle:20", [0, 10], (3, 4), 86),
-        ("gh:3", [3, 15, 27], (9, 9), 39),
+        ("gh:3", [3, 15, 27], (9, 9), 38),
     ]
     for spec, marks, values, count in cases:
         searched.clear()
@@ -643,6 +646,19 @@ def test_solve_both_equals_two_fresh_solves():
                 ), (encode_graph6(g), fam.tag)
 
 
+def test_solve_values_reads_the_values_of_solve_both():
+    # the same search with no principal line, from any start and under
+    # every closure mode
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            for fam in (K1, K2, P3, K3_P4):
+                for marks in (0, 1, g.full_mask & 0b101):
+                    d, s = solve_both(g, fam, marks)
+                    assert solve_values(g, fam, marks) == (d.value, s.value)
+    g = path_graph(7)
+    assert solve_values(g, K2, iter([0])) == (2, 2)
+
+
 def test_values_and_optimal_moves_do_not_depend_on_vertex_labels():
     # the table and closure memo are keyed by vertex masks, so a relabelled
     # graph fills different keys; values must not change, and the optimal
@@ -685,3 +701,69 @@ def test_values_and_lines_are_pinned():
     assert len(records) == 1184
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == "b6856b9e8a1b221327b6690106e1f63c728c20192f208be7a5baa7d5f3d7dcd3"
+
+
+def _count_orbit_searches(monkeypatch):
+    # the root's orbit search runs through solver._root_leaders; count the
+    # searches behind its one-entry cache
+    searches = []
+    search = solver.vertex_orbit_leaders
+    monkeypatch.setattr(
+        solver, "vertex_orbit_leaders", lambda g, fixed: searches.append(fixed) or search(g, fixed)
+    )
+    solver._root_leaders.cache_clear()
+    return searches
+
+
+def test_orbit_root_runs_once_the_table_is_large(monkeypatch):
+    # cycle:24 fills the table past 4n states within the first root tests,
+    # so the root switches to one move per orbit, and both starts share
+    # one orbit search of the closed root; a small game never switches
+    searches = _count_orbit_searches(monkeypatch)
+    assert [r.value for r in solve_both(make_family("cycle:24"), K2)] == [9, 9]
+    assert searches == [0]
+    searches.clear()
+    solver._root_leaders.cache_clear()
+    assert [r.value for r in solve_both(make_family("cycle:6"), K2)] == [3, 2]
+    assert searches == []
+
+
+def test_orbit_root_keeps_every_value_and_line(monkeypatch):
+    # with the switch forced from the first failed root test, both starts
+    # over the catalog to order 7 under four families, unmarked and from
+    # every one-vertex start, give the values and principal lines of the
+    # search that tries every root move
+    monkeypatch.setattr(solver, "ROOT_ORBIT_STATES", -1)
+    searches = _count_orbit_searches(monkeypatch)
+    fams = (K1, K2, P3, parse_forbidden("complete:3;path:4"))
+    records = []
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            for fam in fams:
+                for marks in [[], *([v] for v in range(n))]:
+                    d, s = solve_both(g, fam, marks)
+                    records.append([encode_graph6(g), fam.tag, marks, d.value,
+                                    list(d.principal_line), s.value, list(s.principal_line)])
+    assert len(records) == 31108
+    assert len(searches) > 10000
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "d8315c956a2a80c8ea9eabd3804c7bb63eb09cf6beef5705ea65b8dcf99c15c1"
+
+
+@pytest.mark.parametrize(
+    "spec, fam",
+    [("cycle:14", K2), ("cycle:16", P3), ("path:16", K2), ("gh:1", K2), ("cycle:12", K3_P4)],
+    ids=["cycle:14-K2", "cycle:16-P3", "path:16-K2", "gh:1-K2", "cycle:12-K3_P4"],
+)
+def test_orbit_root_matches_the_table(monkeypatch, spec, fam):
+    # marks that break the symmetry leave a smaller stabiliser, so orbits
+    # of the unmarked graph would skip moves that have no image; the table
+    # holds both starts' values at every mark set
+    monkeypatch.setattr(solver, "ROOT_ORBIT_STATES", -1)
+    searches = _count_orbit_searches(monkeypatch)
+    g = make_family(spec)
+    dom, stall = game_values(g, fam)
+    for marks in (0, 1, 0b11, 0b1001, 0b100101, 1 << g.n - 1 | 0b110):
+        d, s = solve_both(g, fam, marks)
+        assert (d.value, s.value) == (dom[marks], stall[marks]), (spec, marks)
+    assert searches
