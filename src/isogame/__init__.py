@@ -1,5 +1,7 @@
 """Exact solver and verification lab for isolation games on graphs."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BadEdge,
     BadSpec,
@@ -74,20 +76,42 @@ from .solver import (
     solve_both,
     solve_values,
 )
-from .oracle import (
-    IsolationCertificate,
-    is_isolating,
-    isolation_number,
-    naive_best_moves,
-    naive_game_value,
-    random_playout,
-)
-from .harness import (
-    CheckKind,
-    CheckReport,
-    conjecture_sweep,
-    path_table,
-    run_check,
-)
 
 __version__ = "0.1.0"
+
+#: The check harness's and the oracle's names, each imported from its
+#: module on first access, so that a solve loads neither module (nor what
+#: they import).
+_LAZY = {
+    "IsolationCertificate": "oracle",
+    "is_isolating": "oracle",
+    "isolation_number": "oracle",
+    "naive_best_moves": "oracle",
+    "naive_game_value": "oracle",
+    "random_playout": "oracle",
+    "CheckKind": "harness",
+    "CheckReport": "harness",
+    "conjecture_sweep": "harness",
+    "path_table": "harness",
+    "run_check": "harness",
+}
+
+# every public name: the solver core's, bound above, then the lazy ones
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + list(_LAZY)
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -7,29 +7,45 @@ Exit codes: 0 success, 2 when a verify/sweep run records violations,
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
-import json
 import sys
+from typing import TYPE_CHECKING
 
 from .errors import BadSpec, IsolationGameError
 from .families import iter_family, vertex_name_to_index
 from .graph import parse_graph6
-from .harness import CheckKind, CheckReport, conjecture_sweep, run_check
 from .rules import parse_forbidden
 from .solver import DEFAULT_MEMO_CAP, Mover, result_record, solve
 
+# the parser, the check harness and the output formats load inside the
+# functions that use them, so that importing this module costs a solve
+# nothing beyond the solver core
+if TYPE_CHECKING:
+    import argparse
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; 2 is reserved for
-    # property violations here, so route usage problems to exit 1
-    def error(self, message: str) -> None:  # noqa: D401 - argparse hook
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+    from .harness import CheckReport
 
 
-def _build_parser() -> _Parser:
+def conjecture_sweep(n_max: int) -> CheckReport:
+    """The ``sweep`` command's report: :func:`isogame.harness.conjecture_sweep`,
+    called through this module so that a tracer can swap it here."""
+    from .harness import conjecture_sweep
+
+    return conjecture_sweep(n_max)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    from .harness import CheckKind
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits 2 on usage errors by default; 2 is reserved for
+        # property violations here, so route usage problems to exit 1
+        def error(self, message: str) -> None:  # noqa: D401 - argparse hook
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(prog="isogame", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -94,6 +110,8 @@ def _emit(text: str, output: str | None) -> None:
 def _rows_to_csv(rows: list[dict]) -> str:
     if not rows:
         return ""
+    import csv
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()
@@ -134,6 +152,8 @@ def _run_solve(args: argparse.Namespace) -> int:
     if args.fmt == "plain":
         text = "".join(f"value={r['value']}\n" for r in records)
     elif args.fmt == "json":
+        import json
+
         payload = records[0] if len(records) == 1 else records
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
@@ -157,6 +177,8 @@ def _emit_report(report: CheckReport, args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    from .harness import run_check
+
     # forward only the flags given, each as the param of its own name
     given = {"n_min": args.n_min, "n_max": args.n_max}
     report = run_check(args.check, **{k: v for k, v in given.items() if v is not None})

@@ -8,7 +8,6 @@ double as hashable state keys for the game solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import BadEdge, IsolationGameError, MalformedGraph6, OrderTooLarge
@@ -60,24 +59,52 @@ def require_inside(g: Graph, mask: int, what: str) -> int:
     return mask
 
 
-@dataclass(frozen=True, slots=True)
+def read_only(self, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of the immutable value types,
+    which set their slots once, in ``__init__``, through
+    ``object.__setattr__``."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
+_set = object.__setattr__
+
+
 class Graph:
     """Immutable undirected graph on vertices ``0..n-1``.
 
     ``adj[v]`` is the neighbor mask of ``v`` (never including ``v``), and
     ``closed[v] = adj[v] | 1 << v`` is precomputed because closed
-    neighborhoods drive every game-rule computation.
+    neighborhoods drive every game-rule computation. ``label`` names the
+    graph; equality and hashing ignore it.
     """
 
+    __slots__ = ("n", "adj", "label", "closed")
     n: int
     adj: tuple[int, ...]
-    label: str | None = field(default=None, compare=False)
-    closed: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    label: str | None
+    closed: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "closed", tuple(a | (1 << v) for v, a in enumerate(self.adj))
-        )
+    def __init__(self, n: int, adj: tuple[int, ...], label: str | None = None) -> None:
+        _set(self, "n", n)
+        _set(self, "adj", adj)
+        _set(self, "label", label)
+        _set(self, "closed", tuple(a | (1 << v) for v, a in enumerate(adj)))
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return self.n == other.n and self.adj == other.adj
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adj))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, adj={self.adj!r}, label={self.label!r})"
+
+    def __reduce__(self):
+        return Graph, (self.n, self.adj, self.label)
 
     @property
     def full_mask(self) -> int:

@@ -39,10 +39,7 @@ compare.
 from __future__ import annotations
 
 import enum
-import inspect
-import json
 import time
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
 from typing import Callable, Iterable, Iterator
@@ -85,16 +82,49 @@ class CheckKind(str, enum.Enum):
     CONJECTURE_SWEEP = "conjecture-sweep"
 
 
-@dataclass
 class CheckReport:
-    kind: CheckKind
-    instances: int
-    violations: list[dict]
-    extremal: list[dict]
-    wall_time_s: float
-    params: dict
-    rows: list[dict] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    """One check's findings; ``rows`` and ``metadata`` default to new empty
+    containers. A report is mutable, so it compares by value but has no
+    hash."""
+
+    __slots__ = ("kind", "instances", "violations", "extremal", "wall_time_s",
+                 "params", "rows", "metadata")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        kind: CheckKind,
+        instances: int,
+        violations: list[dict],
+        extremal: list[dict],
+        wall_time_s: float,
+        params: dict,
+        rows: list[dict] | None = None,
+        metadata: dict | None = None,
+    ) -> None:
+        self.kind = kind
+        self.instances = instances
+        self.violations = violations
+        self.extremal = extremal
+        self.wall_time_s = wall_time_s
+        self.params = params
+        self.rows = [] if rows is None else rows
+        self.metadata = {} if metadata is None else metadata
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CheckReport:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"CheckReport({shown})"
+
+    def __reduce__(self):
+        return CheckReport, self._fields()
 
     @property
     def ok(self) -> bool:
@@ -116,6 +146,8 @@ class CheckReport:
         return out
 
     def to_json(self, reproducible: bool = False) -> str:
+        import json
+
         return json.dumps(self.summary(reproducible), indent=2, sort_keys=True)
 
 
@@ -187,7 +219,7 @@ def ceil_three_sevenths(n: int) -> int:
 # --- individual checks ---------------------------------------------------
 
 
-def _check_diff_at_most_one(n_min: int = 1, n_max: int = 6) -> tuple:
+def _check_diff_at_most_one(*, n_min: int = 1, n_max: int = 6) -> tuple:
     rows, violations, extremal = [], [], []
     mark_sets = 0
     for fam in (single_vertex_family(), single_edge_family(), three_path_family()):
@@ -206,7 +238,7 @@ def _check_diff_at_most_one(n_min: int = 1, n_max: int = 6) -> tuple:
     return rows, violations, extremal, {"mark_sets": mark_sets}
 
 
-def _check_sandwich(n_min: int = 1, n_max: int = 6) -> tuple:
+def _check_sandwich(*, n_min: int = 1, n_max: int = 6) -> tuple:
     rows, violations, extremal = [], [], []
     tight = 0
     for fam in (single_vertex_family(), single_edge_family()):
@@ -235,7 +267,7 @@ def _check_sandwich(n_min: int = 1, n_max: int = 6) -> tuple:
     return rows, violations, extremal, {"d_upper_tight": tight}
 
 
-def _check_family_monotone(n_min: int = 1, n_max: int = 6) -> tuple:
+def _check_family_monotone(*, n_min: int = 1, n_max: int = 6) -> tuple:
     rows, violations, extremal = [], [], []
     k1, k2, p3 = (
         single_vertex_family(),
@@ -266,7 +298,7 @@ def _check_family_monotone(n_min: int = 1, n_max: int = 6) -> tuple:
     return rows, violations, extremal, {}
 
 
-def _check_half_bound(n_min: int = 1, n_max: int = 6) -> tuple:
+def _check_half_bound(*, n_min: int = 1, n_max: int = 6) -> tuple:
     rows, violations, extremal = [], [], []
     fam = single_edge_family()
     for g, d, s in _solved_catalog(n_min, n_max, fam):
@@ -305,7 +337,7 @@ def _check_spanning_gap() -> tuple:
     return rows, violations, extremal, {}
 
 
-def _check_forest_monotone(n_min: int = 1, n_max: int = 9) -> tuple:
+def _check_forest_monotone(*, n_min: int = 1, n_max: int = 9) -> tuple:
     rows, violations = [], []
     fam = single_edge_family()
     mark_sets = 0
@@ -320,7 +352,7 @@ def _check_forest_monotone(n_min: int = 1, n_max: int = 9) -> tuple:
     return rows, violations, [], {"mark_sets": mark_sets}
 
 
-def _check_continuation(n_min: int = 1, n_max: int = 6) -> tuple:
+def _check_continuation(*, n_min: int = 1, n_max: int = 6) -> tuple:
     # every nested pair B <= A is a chain of one-vertex additions, so
     # checking each B against each B + u covers them all
     rows, violations = [], []
@@ -342,7 +374,7 @@ def _check_continuation(n_min: int = 1, n_max: int = 6) -> tuple:
     return rows, violations, [], {"mark_sets": mark_sets, "steps": steps}
 
 
-def _check_path_bounds(n_min: int = 6, n_max: int = 23) -> tuple:
+def _check_path_bounds(*, n_min: int = 6, n_max: int = 23) -> tuple:
     rows = path_table(n_min, n_max)
     violations = []
     for row in rows:
@@ -358,7 +390,7 @@ def _check_path_bounds(n_min: int = 6, n_max: int = 23) -> tuple:
     return rows, violations, extremal, {}
 
 
-def _check_path_exact(n_min: int = 6, n_max: int = 23) -> tuple:
+def _check_path_exact(*, n_min: int = 6, n_max: int = 23) -> tuple:
     rows = path_table(n_min, n_max)
     violations = []
     covered = []
@@ -375,7 +407,7 @@ def _check_path_exact(n_min: int = 6, n_max: int = 23) -> tuple:
     return rows, violations, extremal, {"exact_orders": covered}
 
 
-def _check_star_addition(n_min: int = 1, n_max: int = 7) -> tuple:
+def _check_star_addition(*, n_min: int = 1, n_max: int = 7) -> tuple:
     rows, violations = [], []
     fam = single_edge_family()
     stars = {r: star_graph(r) for r in (1, 2, 3)}
@@ -433,7 +465,7 @@ def _check_family_values() -> tuple:
     return rows, violations, extremal, meta
 
 
-def _check_conjecture_sweep(n_max: int = 6) -> tuple:
+def _check_conjecture_sweep(*, n_max: int = 6) -> tuple:
     fam = single_edge_family()
     rows, violations, witnesses = [], [], []
     best_ratio = 0.0
@@ -507,8 +539,7 @@ CHECKS: dict[CheckKind, Callable[..., tuple]] = {
 
 def check_defaults(kind: CheckKind | str) -> dict:
     """The params of one registered check, each with its default."""
-    params = inspect.signature(CHECKS[CheckKind(kind)]).parameters.values()
-    return {p.name: p.default for p in params}
+    return dict(CHECKS[CheckKind(kind)].__kwdefaults__ or {})
 
 
 def run_check(kind: CheckKind | str, **params) -> CheckReport:

@@ -12,13 +12,12 @@ closes a start's marks before playing from it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
 from .errors import BudgetExceeded, TerminalState
-from .graph import Graph, as_mask, closed_neighborhood, mask_of, require_inside
+from .graph import Graph, as_mask, closed_neighborhood, mask_of, read_only, require_inside
 from .rules import (
     ForbiddenFamily,
     MarkState,
@@ -43,10 +42,32 @@ def is_isolating(g: Graph, fam: ForbiddenFamily, s: int | Iterable[int]) -> bool
     return not any(contains_pattern(g, rest, p) for p in fam.patterns)
 
 
-@dataclass(frozen=True)
 class IsolationCertificate:
+    """A least isolating set and its size."""
+
+    __slots__ = ("witness", "size")
     witness: tuple[int, ...]
     size: int
+
+    def __init__(self, witness: tuple[int, ...], size: int) -> None:
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "size", size)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not IsolationCertificate:
+            return NotImplemented
+        return self.witness == other.witness and self.size == other.size
+
+    def __hash__(self) -> int:
+        return hash((self.witness, self.size))
+
+    def __repr__(self) -> str:
+        return f"IsolationCertificate(witness={self.witness!r}, size={self.size!r})"
+
+    def __reduce__(self):
+        return IsolationCertificate, (self.witness, self.size)
 
 
 def isolation_number(g: Graph, fam: ForbiddenFamily) -> IsolationCertificate:

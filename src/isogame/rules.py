@@ -40,13 +40,13 @@ the memo between its two starts, and ``memo_cap`` bounds it exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable
 
 from .errors import BadSpec, IllegalMove, PatternTooLarge, StateSpaceBudgetExceeded
 from .families import make_family
 from .graph import Graph, as_mask, component_of, is_connected, iter_mask, require_inside
+from .graph import read_only
 from .graph import components  # noqa: F401  (perfbench wraps rules.components)
 
 MAX_PATTERN_ORDER = 6
@@ -60,18 +60,21 @@ MAX_PATTERN_ORDER = 6
 _MODE_NONE, _MODE_EDGE, _MODE_PAIR, _MODE_SEARCH = "none", "edge", "pair", "search"
 
 
-@dataclass(frozen=True)
 class ForbiddenFamily:
     """A set of small connected pattern graphs; components avoiding all of
     them are absorbed. Patterns are capped at order 6 (containment-search
-    budget)."""
+    budget). ``mode`` follows from the patterns; equality, hashing and
+    repr read ``patterns`` and ``tag`` alone."""
 
+    __slots__ = ("patterns", "tag", "mode")
     patterns: tuple[Graph, ...]
     tag: str
-    mode: str = field(init=False, compare=False, repr=False)
+    mode: str
 
-    def __post_init__(self) -> None:
-        for p in self.patterns:
+    def __init__(self, patterns: tuple[Graph, ...], tag: str) -> None:
+        object.__setattr__(self, "patterns", patterns)
+        object.__setattr__(self, "tag", tag)
+        for p in patterns:
             if p.n > MAX_PATTERN_ORDER:
                 raise PatternTooLarge(
                     f"pattern of order {p.n} exceeds {MAX_PATTERN_ORDER}"
@@ -92,6 +95,22 @@ class ForbiddenFamily:
         else:
             mode = _MODE_SEARCH
         object.__setattr__(self, "mode", mode)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ForbiddenFamily:
+            return NotImplemented
+        return self.patterns == other.patterns and self.tag == other.tag
+
+    def __hash__(self) -> int:
+        return hash((self.patterns, self.tag))
+
+    def __repr__(self) -> str:
+        return f"ForbiddenFamily(patterns={self.patterns!r}, tag={self.tag!r})"
+
+    def __reduce__(self):
+        return ForbiddenFamily, (self.patterns, self.tag)
 
 
 #: The pattern names ``--forbidden`` reads besides family specs.
@@ -274,13 +293,33 @@ def closer(
     return close
 
 
-@dataclass(frozen=True)
 class MarkState:
     """A graph with a closed marked set. Build via :func:`initial_closure`
     or :func:`apply_move`; direct construction skips the closure."""
 
+    __slots__ = ("graph", "marked")
     graph: Graph
     marked: int
+
+    def __init__(self, graph: Graph, marked: int) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "marked", marked)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not MarkState:
+            return NotImplemented
+        return self.graph == other.graph and self.marked == other.marked
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.marked))
+
+    def __repr__(self) -> str:
+        return f"MarkState(graph={self.graph!r}, marked={self.marked!r})"
+
+    def __reduce__(self):
+        return MarkState, (self.graph, self.marked)
 
     @property
     def is_terminal(self) -> bool:

@@ -49,14 +49,13 @@ bounds go into the table as in any other test; ``at_most`` and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .enumeration import vertex_orbit_leaders
 from .errors import StateSpaceBudgetExceeded, TerminalState
 from .graph import Graph, as_mask, encode_graph6, mask_list, mask_of
-from .graph import require_inside
+from .graph import read_only, require_inside
 from .rules import ForbiddenFamily, MarkState, closer
 from .rules import close_marks  # noqa: F401  (perfbench wraps solver.close_marks)
 
@@ -80,14 +79,39 @@ class Mover(enum.Enum):
         return Mover.STALLER if self is Mover.DOMINATOR else Mover.DOMINATOR
 
 
-@dataclass(frozen=True)
 class GameResult:
     """Total moves under optimal play, one optimal first move, and a full
     optimal line. ``best_move`` is None exactly when the state is terminal."""
 
+    __slots__ = ("value", "best_move", "principal_line")
     value: int
     best_move: int | None
     principal_line: tuple[int, ...]
+
+    def __init__(
+        self, value: int, best_move: int | None, principal_line: tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "best_move", best_move)
+        object.__setattr__(self, "principal_line", principal_line)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GameResult:
+            return NotImplemented
+        return (self.value == other.value and self.best_move == other.best_move
+                and self.principal_line == other.principal_line)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.best_move, self.principal_line))
+
+    def __repr__(self) -> str:
+        return (f"GameResult(value={self.value!r}, best_move={self.best_move!r}, "
+                f"principal_line={self.principal_line!r})")
+
+    def __reduce__(self):
+        return GameResult, (self.value, self.best_move, self.principal_line)
 
 
 @lru_cache(maxsize=1)

@@ -353,15 +353,61 @@ def test_sweep_jobs_accepts_only_one(capsys):
     assert "--jobs" in err
 
 
-def test_import_does_not_load_multiprocessing():
+# what a solve never uses: the sweep is serial, and the check harness, the
+# oracle, the parser and the output formats load on first use
+@pytest.mark.parametrize("module", [
+    "multiprocessing", "isogame.harness", "isogame.oracle", "dataclasses",
+    "inspect", "json", "argparse", "csv",
+])
+def test_import_does_not_load_multiprocessing(module):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    probe = "import sys, isogame; print('multiprocessing' in sys.modules)"
+    # the import line of perfbench's worker, whose set-up time it measures
+    probe = f"import sys, isogame, isogame.cli, isogame.solver; print({module!r} in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+#: Every name ``isogame`` exported before its harness and oracle names
+#: loaded on first use.
+EXPORTED = """
+    BadEdge BadSpec BudgetExceeded IllegalMove IsolationGameError MalformedGraph6
+    OrderTooLarge PatternTooLarge StateSpaceBudgetExceeded TerminalState MAX_ORDER
+    Graph as_mask build_graph closed_neighborhood components disjoint_union
+    encode_graph6 is_connected iter_mask mask_list mask_of parse_graph6 all_trees
+    are_isomorphic canonical_form enumerate_connected tree_classes complete_graph
+    cycle_graph f_triangles g_h g_star g_triangles h_graph iter_family make_family
+    path_graph star_graph vertex_name_to_index ForbiddenFamily MarkState apply_move
+    close_marks contains_pattern initial_closure is_forbidden_component is_playable
+    parse_forbidden playable single_edge_family single_vertex_family
+    three_path_family updated_marks DEFAULT_MEMO_CAP GameResult Mover optimal_moves
+    result_record solve solve_both solve_values IsolationCertificate is_isolating
+    isolation_number naive_best_moves naive_game_value random_playout CheckKind
+    CheckReport conjecture_sweep path_table run_check
+""".split()
+
+
+def test_every_exported_name_still_imports():
+    import isogame
+
+    listed = dir(isogame)
+    for name in EXPORTED:
+        namespace = {}
+        exec(f"from isogame import {name}", namespace)
+        assert namespace[name] is getattr(isogame, name)
+        assert name in listed and name in isogame.__all__, name
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    import isogame
+
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        isogame.no_such_name
+    with pytest.raises(ImportError):
+        exec("from isogame import no_such_name", {})
 
 
 def _readme_flag_table() -> dict[str, dict[str, str]]:

@@ -49,10 +49,11 @@ def test_every_check_kind_is_registered():
         # no check samples: every param is an order bound, set by the
         # verify flag of its own name
         assert set(check_defaults(kind)) <= {"n_min", "n_max"}, kind.value
-        # every param the runner takes has a default, so run_check can
-        # call it with no params at all
+        # every param the runner takes is keyword-only with a default, so
+        # check_defaults (which reads __kwdefaults__) lists them all and
+        # run_check can call the runner with no params at all
         params = inspect.signature(runner).parameters.values()
-        assert all(p.default is not p.empty for p in params)
+        assert all(p.kind is p.KEYWORD_ONLY and p.default is not p.empty for p in params)
 
 
 @pytest.mark.parametrize("kind", list(CheckKind), ids=lambda k: k.value)
